@@ -60,6 +60,7 @@ from .graphs import (
 from .recon import (
     ReconResult,
     adv_recon_number,
+    blocked,
     blockers,
     determines,
     extensions,

@@ -18,7 +18,7 @@ from .decks import da_edeck, edge_deck, format_deck
 from .families import enumerate_graphs, enumerate_trees, resolve_graph_input
 from .graphs import canonical_form, write_graph6
 from .recon import adv_recon_number, recon_number
-from .store import default_store_path, format_witness, store_scan
+from .store import _num, default_store_path, format_record, format_witness, store_scan
 from .sweep import (
     CLAIMS,
     evaluate_graph,
@@ -96,10 +96,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _fmt(value) -> str:
-    return "indet" if value is None else str(value)
-
-
 def _cmd_deck(args) -> int:
     g = resolve_graph_input(args.graph)
     deck = da_edeck(g) if args.da else edge_deck(g)
@@ -109,7 +105,7 @@ def _cmd_deck(args) -> int:
 
 
 def _print_result(name: str, result) -> None:
-    print(f"{name} = {_fmt(result.value)}")
+    print(f"{name} = {_num(result.value)}")
     print(f"witness: {format_witness(result.witness)}")
     print(f"max shared with a blocker: {result.max_shared}")
     if result.blocker_example is not None:
@@ -120,12 +116,7 @@ def _cmd_recon(args) -> int:
     g = resolve_graph_input(args.graph)
     t0 = time.perf_counter()
     if args.which == "all":
-        rec = evaluate_graph(g)
-        print(
-            f"{rec.g6}\t{rec.n}\t{rec.m}\t{_fmt(rec.ern)}\t{_fmt(rec.dern)}"
-            f"\t{_fmt(rec.adv_ern)}\t{_fmt(rec.adv_dern)}\t{rec.witness}"
-            f"\t{rec.elapsed_ms}"
-        )
+        print(format_record(evaluate_graph(g)))
         return 0
     which = args.which
     cert = canonical_form(g)
@@ -195,9 +186,8 @@ def _cmd_family(args) -> int:
     )
     count = 0
     for g in gen:
-        if args.what == "trees" or args.edges is None or g.m == args.edges:
-            print(canonical_form(g).canon)
-            count += 1
+        print(canonical_form(g).canon)
+        count += 1
     print(f"total: {count}", file=sys.stderr)
     return 0
 
@@ -213,11 +203,7 @@ def _cmd_store(args) -> int:
             file=sys.stderr,
         )
     for rec in records:
-        print(
-            f"{rec.g6}\t{rec.n}\t{rec.m}\t{_fmt(rec.ern)}\t{_fmt(rec.dern)}"
-            f"\t{_fmt(rec.adv_ern)}\t{_fmt(rec.adv_dern)}\t{rec.witness}"
-            f"\t{rec.elapsed_ms}"
-        )
+        print(format_record(rec))
     return 0
 
 

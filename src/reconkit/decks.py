@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Certificate, Graph, GraphError, canonical_form, certificate_graph
+from .graphs import Certificate, Graph, GraphError, canonical_form
 
 __all__ = [
     "DaEcard",
@@ -108,7 +108,7 @@ def min_multiplicity(g: Graph) -> int:
 
 def sub_multiset(s: Deck, t: Deck) -> bool:
     """True iff s is contained in t with multiplicity."""
-    return all(t.mult(key) >= m for key, m in s.items())
+    return all(t.mult(key) >= m for key, m in s._entries.items())
 
 
 def intersection_size(s: Deck, t: Deck) -> int:
@@ -129,9 +129,3 @@ def format_deck(deck: Deck) -> list:
         d, g6 = _key_parts(key)
         out.append(f"{mult} {d} {g6}")
     return out
-
-
-def card_graph(key) -> Graph:
-    """Canonical representative of a deck key's card."""
-    cert = key.card if isinstance(key, DaEcard) else key
-    return certificate_graph(cert)

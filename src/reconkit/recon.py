@@ -32,7 +32,6 @@ from .graphs import (
     canonical_graph,
     certificate_graph,
     components,
-    is_isomorphic,
 )
 
 __all__ = [
@@ -40,11 +39,11 @@ __all__ = [
     "extensions",
     "determines",
     "blockers",
+    "blocked",
     "recon_number",
     "adv_recon_number",
     "is_tree_from_two_cards",
     "union_bound",
-    "witness_deck",
 ]
 
 
@@ -69,10 +68,6 @@ class ReconResult:
         return self.value is None
 
 
-def witness_deck(witness) -> Deck:
-    return Deck(dict(witness))
-
-
 def extensions(card: Graph, d: int | None = None) -> list:
     """All graphs card+uv over non-adjacent pairs u,v, deduplicated by
     certificate; with d given, only pairs whose degrees sum to d, so the new
@@ -94,37 +89,13 @@ def extensions(card: Graph, d: int | None = None) -> list:
 def determines(card: Graph, d: int, origin: Graph) -> bool:
     """Does the single da-ecard (card, d) pin down origin uniquely?
 
-    Fast path: with d = 0, or with exactly one qualifying non-adjacent pair
-    in the card, only one extension exists.  The condition is sufficient but
-    not necessary, so the full extension scan decides the rest.
+    The extensions are deduplicated and always include origin, so the card
+    determines origin exactly when it has one extension.
     """
     key = DaEcard(canonical_form(card), d)
     if key not in da_edeck(origin):
         raise GraphError("(card, d) is not a da-ecard of origin")
-    degs = card.degrees()
-    qualifying = [
-        (u, v)
-        for u, v in combinations(range(card.n), 2)
-        if not card.has_edge(u, v) and degs[u] + degs[v] == d
-    ]
-    if d == 0 or len(qualifying) == 1:
-        return True
-    return all(is_isomorphic(h, origin) for h in extensions(card, d))
-
-
-def _blocker_list(g: Graph, da: bool, deck: Deck) -> tuple:
-    gcert = canonical_form(g)
-    found: dict = {}
-    for key in deck.keys():
-        if da:
-            card, d = certificate_graph(key.card), key.d
-        else:
-            card, d = certificate_graph(key), None
-        for h in extensions(card, d):
-            cert = canonical_form(h)
-            if cert != gcert and cert not in found:
-                found[cert] = h
-    return tuple(found[c] for c in sorted(found))
+    return len(extensions(card, d)) == 1
 
 
 def blockers(g: Graph, da: bool) -> list:
@@ -143,8 +114,22 @@ def _deck_of_cert(cert: Certificate, da: bool) -> Deck:
 
 @lru_cache(maxsize=4096)
 def _context(g: Graph, da: bool):
+    """g's (da-)edeck, its blockers in certificate order with their decks,
+    and the largest overlap between g's deck and a blocker's, with the
+    first blocker reaching it."""
     deck = da_edeck(g) if da else edge_deck(g)
-    blist = _blocker_list(g, da, deck)
+    gcert = canonical_form(g)
+    found: dict = {}
+    for key in deck.keys():
+        if da:
+            card, d = certificate_graph(key.card), key.d
+        else:
+            card, d = certificate_graph(key), None
+        for h in extensions(card, d):
+            cert = canonical_form(h)
+            if cert != gcert and cert not in found:
+                found[cert] = h
+    blist = tuple(found[c] for c in sorted(found))
     bdecks = tuple(_deck_of_cert(canonical_form(h), da) for h in blist)
     max_shared = 0
     example = None
@@ -153,6 +138,15 @@ def _context(g: Graph, da: bool):
         if shared > max_shared:
             max_shared, example = shared, h
     return deck, blist, bdecks, max_shared, example
+
+
+def blocked(g: Graph, cards: Deck, da: bool) -> bool:
+    """Does some blocker's (da-)edeck contain the multiset of cards?
+
+    Keys are DaEcard for da=True and plain certificates otherwise.  The
+    blocker decks are cached per graph, so repeated queries are cheap.
+    """
+    return any(sub_multiset(cards, bd) for bd in _context(g, da)[2])
 
 
 def _witness_vectors(mults, k):
@@ -177,18 +171,16 @@ def recon_number(g: Graph, da: bool = False) -> ReconResult:
     contained in no blocker's deck (ern for da=False, dern for da=True)."""
     if g.m < 1:
         raise GraphError("reconstruction number of an edgeless graph")
-    deck, _blist, bdecks, max_shared, example = _context(g, da)
-    if any(sub_multiset(deck, bd) for bd in bdecks):
+    deck, _blist, _bdecks, max_shared, example = _context(g, da)
+    if blocked(g, deck, da):
         return ReconResult(None, (), max_shared, example)
     keys = deck.keys()
     mults = [deck.mult(key) for key in keys]
     for k in range(1, deck.total + 1):
         for vec in _witness_vectors(mults, k):
-            chosen = [(key, x) for key, x in zip(keys, vec) if x]
-            if not any(
-                all(bd.mult(key) >= x for key, x in chosen) for bd in bdecks
-            ):
-                return ReconResult(k, tuple(chosen), max_shared, example)
+            chosen = tuple((key, x) for key, x in zip(keys, vec) if x)
+            if not blocked(g, Deck(chosen), da):
+                return ReconResult(k, chosen, max_shared, example)
     raise AssertionError("unreachable: full deck was not blocked")
 
 

@@ -3,9 +3,10 @@
 Fields: canonical graph6, n, m, ern, dern, adv_ern, adv_dern, witness,
 elapsed milliseconds.  Indeterminate numbers are stored as "indet"; the
 witness is a ";"-joined list of "mult x d x graph6" entries using the
-'×' separator, which never occurs in graph6 text.  Scanning skips corrupt
-lines with a warning count and deduplicates by certificate, last write
-winning.
+'×' separator, which never occurs in graph6 text.  A record counts only
+once its newline is written, so a line torn by a crash is corrupt.
+Scanning skips corrupt lines with a warning count and deduplicates by
+certificate, last write winning.
 """
 
 from __future__ import annotations
@@ -102,8 +103,16 @@ def parse_record(line: str) -> ResultRecord:
 
 
 def store_append(path: str, rec: ResultRecord) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(format_record(rec) + "\n")
+    """Append one record line, first ending a line torn by a crash so that
+    the new record does not run on from it."""
+    line = (format_record(rec) + "\n").encode("utf-8")
+    with open(path, "ab+") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                line = b"\n" + line
+        fh.write(line)
 
 
 _FILTER_RE = re.compile(r"^\s*(\w+)\s*(>=|<=|!=|=|>|<)\s*(\S+)\s*$")
@@ -150,6 +159,9 @@ def store_scan(path: str, filter_expr: str | None = None):
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 if not line.strip():
+                    continue
+                if not line.endswith("\n"):
+                    stats["corrupt"] += 1  # torn by a crash
                     continue
                 try:
                     rec = parse_record(line)

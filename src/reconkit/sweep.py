@@ -11,10 +11,12 @@ claims flag violations (nonzero exit), "census" claims merely select rows.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 from .caterpillar import CaterpillarSeq, seq_of
-from .decks import DaEcard, da_edeck, edge_deck
+from .decks import DaEcard, Deck, da_edeck, edge_deck, sub_multiset
 from .families import (
     caterpillar_graph,
     disjoint_union,
@@ -24,8 +26,8 @@ from .families import (
     parse_family_spec,
 )
 from .graphs import Graph, GraphError, canonical_form, components
-from .recon import adv_recon_number, blockers, recon_number
-from .store import ResultRecord, format_witness, store_append, store_scan
+from .recon import adv_recon_number, blocked, recon_number
+from .store import ResultRecord, _num, format_witness, store_append, store_scan
 
 __all__ = [
     "Claim",
@@ -74,9 +76,6 @@ class Claim:
     kind: str  # "verify" | "census"
     description: str
     check: object  # callable(graph, record) -> bool
-
-    def ok(self, g: Graph, rec: ResultRecord) -> bool:
-        return self.check(g, rec)
 
 
 def _isomorphic_components(g: Graph):
@@ -182,14 +181,10 @@ class SweepReport:
         ]
         for rec in self.violations:
             out.append(
-                f"  {rec.g6}  n={rec.n} m={rec.m} ern={_fmt(rec.ern)} "
-                f"dern={_fmt(rec.dern)} witness={rec.witness}"
+                f"  {rec.g6}  n={rec.n} m={rec.m} ern={_num(rec.ern)} "
+                f"dern={_num(rec.dern)} witness={rec.witness}"
             )
         return out
-
-
-def _fmt(v) -> str:
-    return "indet" if v is None else str(v)
 
 
 def _run_sweep(scope: str, graphs, claim_name: str, store_path: str | None) -> SweepReport:
@@ -219,7 +214,7 @@ def _run_sweep(scope: str, graphs, claim_name: str, store_path: str | None) -> S
             if store_path:
                 store_append(store_path, rec)
         records.append(rec)
-        ok = claim.ok(g, rec)
+        ok = claim.check(g, rec)
         if claim.kind == "verify":
             if not ok:
                 violations.append(rec)
@@ -236,6 +231,15 @@ def _run_sweep(scope: str, graphs, claim_name: str, store_path: str | None) -> S
     )
 
 
+def _sweep_tree_scope(
+    label: str, keep, n: int, claim: str, store_path, force: bool, limit
+) -> SweepReport:
+    if n > DEFAULT_TREE_CAP and not force:
+        raise GraphError(f"{label} sweep capped at n={DEFAULT_TREE_CAP}; use force")
+    graphs = islice((t for t in enumerate_trees(n) if t.m >= 1 and keep(t)), limit)
+    return _run_sweep(f"{label}s n={n}", graphs, claim, store_path)
+
+
 def sweep_trees(
     n: int,
     claim: str,
@@ -244,12 +248,7 @@ def sweep_trees(
     limit: int | None = None,
 ) -> SweepReport:
     """All trees on exactly n vertices."""
-    if n > DEFAULT_TREE_CAP and not force:
-        raise GraphError(f"tree sweep capped at n={DEFAULT_TREE_CAP}; use force")
-    graphs = (t for t in enumerate_trees(n) if t.m >= 1)
-    if limit is not None:
-        graphs = _take(graphs, limit)
-    return _run_sweep(f"trees n={n}", graphs, claim, store_path)
+    return _sweep_tree_scope("tree", lambda t: True, n, claim, store_path, force, limit)
 
 
 def sweep_caterpillars(
@@ -260,14 +259,9 @@ def sweep_caterpillars(
     limit: int | None = None,
 ) -> SweepReport:
     """All caterpillars on exactly n vertices."""
-    if n > DEFAULT_TREE_CAP and not force:
-        raise GraphError(f"caterpillar sweep capped at n={DEFAULT_TREE_CAP}; use force")
-    graphs = (
-        t for t in enumerate_trees(n) if t.m >= 1 and seq_of(t) is not None
+    return _sweep_tree_scope(
+        "caterpillar", lambda t: seq_of(t) is not None, n, claim, store_path, force, limit
     )
-    if limit is not None:
-        graphs = _take(graphs, limit)
-    return _run_sweep(f"caterpillars n={n}", graphs, claim, store_path)
 
 
 def sweep_disconnected(
@@ -293,17 +287,7 @@ def sweep_disconnected(
                     yield disjoint_union(k, h)
 
     scope = f"disconnected {k}H n(H)<={max_component}"
-    gen = graphs()
-    if limit is not None:
-        gen = _take(gen, limit)
-    return _run_sweep(scope, gen, claim, store_path)
-
-
-def _take(gen, limit):
-    for i, g in enumerate(gen):
-        if i >= limit:
-            return
-        yield g
+    return _run_sweep(scope, islice(graphs(), limit), claim, store_path)
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +319,5 @@ def identifying_cards(s: CaterpillarSeq, positions) -> tuple:
 def pair_certifies(t: Graph, cards) -> bool:
     """True iff the multiset of da-ecards lies in t's da-edeck and in no
     blocker's da-edeck."""
-    deck = da_edeck(t)
-    need = {}
-    for card in cards:
-        need[card] = need.get(card, 0) + 1
-    if any(deck.mult(card) < mult for card, mult in need.items()):
-        return False
-    for h in blockers(t, da=True):
-        hd = da_edeck(h)
-        if all(hd.mult(card) >= mult for card, mult in need.items()):
-            return False
-    return True
+    need = Deck(Counter(cards))
+    return sub_multiset(need, da_edeck(t)) and not blocked(t, need, True)

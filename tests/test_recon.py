@@ -6,6 +6,7 @@ from reconkit import (
     Graph,
     GraphError,
     adv_recon_number,
+    blocked,
     blockers,
     canonical_form,
     caterpillar_graph,
@@ -161,6 +162,26 @@ def test_blocker_sets_match_enumeration_oracle_n5():
                     if hc != gc and intersection_size(decks[gc], hd) >= 1
                 }
                 assert ext_route == enum_route
+
+
+def test_blocked_matches_blocker_decks_n5():
+    # every single card and the full deck, checked against each blocker's
+    # freshly built deck
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            if g.m < 1:
+                continue
+            for da in (False, True):
+                deck_of = da_edeck if da else edge_deck
+                deck = deck_of(g)
+                bdecks = [deck_of(h) for h in blockers(g, da)]
+                queries = [Deck({key: 1}) for key in deck] + [deck]
+                for cards in queries:
+                    want = any(
+                        all(bd.mult(key) >= x for key, x in cards.items())
+                        for bd in bdecks
+                    )
+                    assert blocked(g, cards, da) == want
 
 
 # --- reconstruction numbers --------------------------------------------------

@@ -135,6 +135,28 @@ def test_sweep_resume_matches_uninterrupted(tmp_path):
     assert strip(full_records) == strip(part_records)
 
 
+def test_sweep_resume_after_torn_last_line(tmp_path):
+    # a crash can cut the store before the last record's newline; the torn
+    # record is recomputed and the next one must not run on from it
+    full = tmp_path / "full.txt"
+    part = tmp_path / "part.txt"
+    sweep_trees(8, "dern-le-2", str(full))
+    sweep_trees(8, "dern-le-2", str(part), limit=10)
+    text = part.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    part.write_text(text[:-1], encoding="utf-8")
+    torn_records, stats = store_scan(part)
+    assert len(torn_records) == 9 and stats["corrupt"] == 1
+    resumed = sweep_trees(8, "dern-le-2", str(part))
+    assert resumed.resumed == 9 and resumed.computed == 14
+    full_records, _ = store_scan(full)
+    part_records, _ = store_scan(part)
+    strip = lambda recs: [
+        (r.g6, r.ern, r.dern, r.adv_ern, r.adv_dern, r.witness) for r in recs
+    ]
+    assert strip(part_records) == strip(full_records)
+
+
 def test_sweep_deterministic():
     a = sweep_trees(7, "dern-le-2", None)
     b = sweep_trees(7, "dern-le-2", None)
