@@ -103,7 +103,7 @@ def da_edeck(g: Graph) -> Deck:
 
 def min_multiplicity(g: Graph) -> int:
     """Least multiplicity among the edge-card classes of g."""
-    return min(m for _, m in edge_deck(g).items())
+    return min(edge_deck(g)._entries.values())
 
 
 def sub_multiset(s: Deck, t: Deck) -> bool:
@@ -113,19 +113,16 @@ def sub_multiset(s: Deck, t: Deck) -> bool:
 
 def intersection_size(s: Deck, t: Deck) -> int:
     """Size of the multiset intersection: sum of min multiplicities."""
-    return sum(min(m, t.mult(key)) for key, m in s.items())
+    return sum(min(m, t.mult(key)) for key, m in s._entries.items())
 
 
-def _key_parts(key):
+def _key_parts(key, mult: int) -> tuple:
+    """Multiplicity, d (or '-') and graph6 of the card, as text."""
     if isinstance(key, DaEcard):
-        return str(key.d), key.card.canon
-    return "-", key.canon
+        return str(mult), str(key.d), key.card.canon
+    return str(mult), "-", key.canon
 
 
 def format_deck(deck: Deck) -> list:
     """One line per key: multiplicity, d (or '-'), graph6 of the card."""
-    out = []
-    for key, mult in deck.items():
-        d, g6 = _key_parts(key)
-        out.append(f"{mult} {d} {g6}")
-    return out
+    return [" ".join(_key_parts(key, mult)) for key, mult in deck.items()]

@@ -15,7 +15,7 @@ from .graphs import (
     MAX_VERTICES,
     Graph,
     GraphError,
-    canonical_form,
+    _classes,
     canonical_graph,
     parse_graph6,
 )
@@ -141,14 +141,7 @@ def spider(lengths) -> Graph:
 def _trees(n: int) -> tuple:
     if n == 1:
         return (Graph.from_edges(1, []),)
-    reps: dict = {}
-    for t in _trees(n - 1):
-        for v in range(t.n):
-            g = t.add_vertex([v])
-            cert = canonical_form(g)
-            if cert not in reps:
-                reps[cert] = canonical_graph(g)
-    return tuple(reps[c] for c in sorted(reps))
+    return tuple(_classes(t.add_vertex([v]) for t in _trees(n - 1) for v in range(t.n)))
 
 
 def enumerate_trees(n: int):
@@ -167,14 +160,13 @@ def enumerate_trees(n: int):
 def _graphs(n: int) -> tuple:
     if n == 1:
         return (Graph.from_edges(1, []),)
-    reps: dict = {}
-    for g in _graphs(n - 1):
-        for nb in range(1 << (n - 1)):
-            h = g.add_vertex([v for v in range(n - 1) if nb >> v & 1])
-            cert = canonical_form(h)
-            if cert not in reps:
-                reps[cert] = canonical_graph(h)
-    return tuple(reps[c] for c in sorted(reps))
+    return tuple(
+        _classes(
+            g.add_vertex([v for v in range(n - 1) if nb >> v & 1])
+            for g in _graphs(n - 1)
+            for nb in range(1 << (n - 1))
+        )
+    )
 
 
 def enumerate_graphs(n: int, m: int | None = None):

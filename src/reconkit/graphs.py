@@ -1,11 +1,12 @@
 """Small labeled simple graphs with exact canonical forms.
 
 Graphs live on vertices 0..n-1 (n <= 32) with the adjacency relation stored
-as one bitmask row per vertex.  A Certificate is the graph6 encoding of the
-lexicographically least upper-triangle bit packing over all vertex orders
+as one bitmask row per vertex.  A Certificate is (n, m, code), where code is
+the least upper-triangle bit packing, as one integer, over all vertex orders
 that respect the refined degree partition, so certificates of two graphs are
 equal exactly when the graphs are isomorphic.  That makes certificates
-usable directly as multiset keys.
+usable directly as multiset keys.  graph6 text is only the I/O form: the
+store, the CLI and ``Certificate.canon`` read and write it.
 """
 
 from __future__ import annotations
@@ -206,25 +207,38 @@ class Graph:
 # graph6 text format (short form, n <= 62; one graph per line in files)
 # ---------------------------------------------------------------------------
 
-def write_graph6(g: Graph) -> str:
-    """Encode the labeled graph: header byte n+63, then the upper triangle
-    packed column by column in 6-bit groups, each offset by 63."""
-    n = g.n
-    out = [chr(n + 63)]
-    acc = 0
-    nbits = 0
+def _unpack(n: int, code: int) -> Graph:
+    """The graph on n vertices whose upper triangle, packed column by
+    column (graph6 order) with the first bit most significant, is code."""
+    rows = [0] * n
+    bit = n * (n - 1) // 2
     for j in range(1, n):
-        rowj = g.rows[j]
+        bit -= j
+        column = code >> bit & ((1 << j) - 1)
+        for b in _bits(column):
+            i = j - 1 - b
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return Graph._raw(n, tuple(rows))
+
+
+def _graph6_text(n: int, code: int) -> str:
+    """Header byte n+63, then the packed triangle, zero-padded to 6-bit
+    groups, each group offset by 63."""
+    npairs = n * (n - 1) // 2
+    need = (npairs + 5) // 6
+    code <<= 6 * need - npairs
+    body = (chr((code >> 6 * k & 63) + 63) for k in reversed(range(need)))
+    return chr(n + 63) + "".join(body)
+
+
+def write_graph6(g: Graph) -> str:
+    """Encode the labeled graph as graph6 text."""
+    code = 0
+    for j in range(1, g.n):
         for i in range(j):
-            acc = acc << 1 | (rowj >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+            code = code << 1 | (g.rows[j] >> i & 1)
+    return _graph6_text(g.n, code)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -252,27 +266,16 @@ def parse_graph6(text: str) -> Graph:
             f"expected {need} body bytes for n={n}, got {len(body)}",
             1 + min(len(body), need),
         )
-    rows = [0] * n
-    i, j = 0, 1
-    bitpos = 0
+    code = 0
     for idx, ch in enumerate(body):
         c = ord(ch)
         if not 63 <= c <= 126:
             raise Graph6Error(f"invalid body byte {c}", idx + 1)
-        group = c - 63
-        for shift in range(5, -1, -1):
-            bit = group >> shift & 1
-            if bitpos < npairs:
-                if bit:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                i += 1
-                if i == j:
-                    i, j = 0, j + 1
-            elif bit:
-                raise Graph6Error("nonzero padding bits", idx + 1)
-            bitpos += 1
-    return Graph._raw(n, tuple(rows))
+        code = code << 6 | (c - 63)
+    padding = 6 * need - npairs
+    if code & ((1 << padding) - 1):
+        raise Graph6Error("nonzero padding bits", need)
+    return _unpack(n, code >> padding)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +287,22 @@ def parse_graph6(text: str) -> Graph:
 class Certificate:
     """Canonical identifier of an isomorphism class.
 
-    ``canon`` is the graph6 string of the canonically relabeled graph; two
-    certificates are equal iff the underlying graphs are isomorphic, and the
-    total order on certificates makes multisets and reports reproducible.
+    ``code`` is the upper triangle of the canonically relabeled graph packed
+    column by column (graph6 order), first bit most significant; two
+    certificates are equal iff the underlying graphs are isomorphic.  For
+    equal n, comparing codes is comparing their graph6 texts, so the total
+    order (n, m, code) is the order of (n, m, canon) and makes multisets
+    and reports reproducible.
     """
 
     n: int
     m: int
-    canon: str
+    code: int
+
+    @property
+    def canon(self) -> str:
+        """The graph6 text of the canonical graph, for I/O."""
+        return _graph6_text(self.n, self.code)
 
 
 def _refined_cells(g: Graph) -> list:
@@ -318,9 +329,10 @@ def _refined_cells(g: Graph) -> list:
     return [cells[c] for c in sorted(cells)]
 
 
-def _min_encoding(g: Graph):
-    """Least (perm, chunk) pair: chunk[k] packs vertex k's adjacency bits to
-    positions 0..k-1, which is exactly the graph6 column order."""
+def _min_encoding(g: Graph) -> list:
+    """Least chunk list over partition-respecting orders: chunk[k] packs the
+    adjacency of the k-th vertex to the first k, which is exactly the graph6
+    column order."""
     n, rows = g.n, g.rows
     cells = _refined_cells(g)
     cell_of_pos = []
@@ -330,16 +342,14 @@ def _min_encoding(g: Graph):
     perm = [0] * n
     cur = [0] * n
     best: list | None = None
-    best_perm: list | None = None
     version = 0
     used = 0
 
     def dfs(pos: int):
-        nonlocal best, best_perm, version, used
+        nonlocal best, version, used
         if pos == n:
             if best is None or cur < best:
                 best = cur.copy()
-                best_perm = perm.copy()
                 version += 1
             return
         # Candidates from this position's cell; interchangeable twins
@@ -386,28 +396,34 @@ def _min_encoding(g: Graph):
                 cmp = 0  # new best extends our prefix
 
     dfs(0)
-    return best_perm, best
+    return best
 
 
 @lru_cache(maxsize=1 << 18)
 def canonical_form(g: Graph) -> Certificate:
     """Certificate of g; equal across all relabelings, distinct across
     non-isomorphic graphs."""
-    perm, _ = _min_encoding(g)
-    mapping = [0] * g.n
-    for pos, v in enumerate(perm):
-        mapping[v] = pos
-    return Certificate(g.n, g.m, write_graph6(g.permuted(mapping)))
+    code = 0
+    for k, chunk in enumerate(_min_encoding(g)):
+        code = code << k | chunk
+    return Certificate(g.n, g.m, code)
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class."""
-    return parse_graph6(canonical_form(g).canon)
+    return certificate_graph(canonical_form(g))
 
 
 def certificate_graph(cert: Certificate) -> Graph:
     """Rebuild the canonical representative from a certificate."""
-    return parse_graph6(cert.canon)
+    return _unpack(cert.n, cert.code)
+
+
+def _classes(candidates) -> list:
+    """One canonical representative per isomorphism class among the
+    candidate graphs, in certificate order."""
+    certs = {canonical_form(g) for g in candidates}
+    return [certificate_graph(c) for c in sorted(certs)]
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

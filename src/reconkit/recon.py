@@ -28,8 +28,8 @@ from .graphs import (
     Certificate,
     Graph,
     GraphError,
+    _classes,
     canonical_form,
-    canonical_graph,
     certificate_graph,
     components,
 )
@@ -72,18 +72,12 @@ def extensions(card: Graph, d: int | None = None) -> list:
     """All graphs card+uv over non-adjacent pairs u,v, deduplicated by
     certificate; with d given, only pairs whose degrees sum to d, so the new
     edge has degree d in the extension."""
-    found: dict = {}
     degs = card.degrees()
-    for u, v in combinations(range(card.n), 2):
-        if card.has_edge(u, v):
-            continue
-        if d is not None and degs[u] + degs[v] != d:
-            continue
-        h = card.add_edge(u, v)
-        cert = canonical_form(h)
-        if cert not in found:
-            found[cert] = canonical_graph(h)
-    return [found[c] for c in sorted(found)]
+    return _classes(
+        card.add_edge(u, v)
+        for u, v in combinations(range(card.n), 2)
+        if not card.has_edge(u, v) and (d is None or degs[u] + degs[v] == d)
+    )
 
 
 def determines(card: Graph, d: int, origin: Graph) -> bool:
@@ -103,7 +97,7 @@ def blockers(g: Graph, da: bool) -> list:
     with g.  Complete: a shared card C forces H = C plus one edge."""
     if g.m < 1:
         raise GraphError("blockers of an edgeless graph")
-    return list(_context(g, da)[1])
+    return list(_context(canonical_form(g), da)[1])
 
 
 @lru_cache(maxsize=1 << 16)
@@ -113,12 +107,12 @@ def _deck_of_cert(cert: Certificate, da: bool) -> Deck:
 
 
 @lru_cache(maxsize=4096)
-def _context(g: Graph, da: bool):
-    """g's (da-)edeck, its blockers in certificate order with their decks,
-    and the largest overlap between g's deck and a blocker's, with the
-    first blocker reaching it."""
-    deck = da_edeck(g) if da else edge_deck(g)
-    gcert = canonical_form(g)
+def _context(gcert: Certificate, da: bool):
+    """The class's (da-)edeck, its blockers in certificate order with their
+    decks, and the largest overlap between its deck and a blocker's, with
+    the first blocker reaching it.  Keyed by certificate, so every labeling
+    of a graph shares one context."""
+    deck = _deck_of_cert(gcert, da)
     found: dict = {}
     for key in deck.keys():
         if da:
@@ -144,9 +138,10 @@ def blocked(g: Graph, cards: Deck, da: bool) -> bool:
     """Does some blocker's (da-)edeck contain the multiset of cards?
 
     Keys are DaEcard for da=True and plain certificates otherwise.  The
-    blocker decks are cached per graph, so repeated queries are cheap.
+    blocker decks are cached per isomorphism class, so repeated queries are
+    cheap.
     """
-    return any(sub_multiset(cards, bd) for bd in _context(g, da)[2])
+    return any(sub_multiset(cards, bd) for bd in _context(canonical_form(g), da)[2])
 
 
 def _witness_vectors(mults, k):
@@ -171,7 +166,7 @@ def recon_number(g: Graph, da: bool = False) -> ReconResult:
     contained in no blocker's deck (ern for da=False, dern for da=True)."""
     if g.m < 1:
         raise GraphError("reconstruction number of an edgeless graph")
-    deck, _blist, _bdecks, max_shared, example = _context(g, da)
+    deck, _blist, _bdecks, max_shared, example = _context(canonical_form(g), da)
     if blocked(g, deck, da):
         return ReconResult(None, (), max_shared, example)
     keys = deck.keys()
@@ -189,7 +184,7 @@ def adv_recon_number(g: Graph, da: bool = False) -> ReconResult:
     1 + the largest deck intersection with any blocker."""
     if g.m < 1:
         raise GraphError("reconstruction number of an edgeless graph")
-    deck, blist, bdecks, max_shared, example = _context(g, da)
+    deck, blist, bdecks, max_shared, example = _context(canonical_form(g), da)
     if max_shared >= deck.total:
         return ReconResult(None, (), max_shared, example)
     witness = ()
@@ -215,6 +210,15 @@ def is_tree_from_two_cards(c1: Graph, c2: Graph) -> str:
     return "tree" if pairs[0] != pairs[1] else "unknown"
 
 
+def _isomorphic_components(g: Graph) -> Graph | None:
+    """A component of g when g has at least two components and all are
+    isomorphic; None otherwise."""
+    comps = components(g)
+    if len(comps) < 2 or len({canonical_form(c) for c in comps}) != 1:
+        return None
+    return comps[0]
+
+
 def union_bound(g: Graph) -> tuple:
     """For g = kH (k >= 2 copies of connected H with at least two distinct
     edge-card classes): the bound min(adv_ern(H), 2 + mm(H)) and whether
@@ -225,13 +229,9 @@ def union_bound(g: Graph) -> tuple:
     a single card of kH is always a card of some graph other than kH, so
     ern(kH) >= 2.  ``holds`` is then False.
     """
-    comps = components(g)
-    if len(comps) < 2:
-        raise GraphError("need at least two components")
-    certs = {canonical_form(c) for c in comps}
-    if len(certs) != 1:
-        raise GraphError("components are not all isomorphic")
-    h = comps[0]
+    h = _isomorphic_components(g)
+    if h is None:
+        raise GraphError("need at least two components, all isomorphic")
     if h.m < 1 or len(edge_deck(h)) == 1:
         raise GraphError("all edge-cards of the component are isomorphic")
     adv = adv_recon_number(h, da=False).value

@@ -4,7 +4,8 @@ Fields: canonical graph6, n, m, ern, dern, adv_ern, adv_dern, witness,
 elapsed milliseconds.  Indeterminate numbers are stored as "indet"; the
 witness is a ";"-joined list of "mult x d x graph6" entries using the
 '×' separator, which never occurs in graph6 text.  A record counts only
-once its newline is written, so a line torn by a crash is corrupt.
+once its newline is written, so a line torn by a crash is corrupt, and
+so is a line whose graph6 does not decode to a graph with its n and m.
 Scanning skips corrupt lines with a warning count and deduplicates by
 certificate, last write winning.
 """
@@ -15,7 +16,8 @@ import os
 import re
 from dataclasses import dataclass
 
-from .decks import DaEcard
+from .decks import _key_parts
+from .graphs import parse_graph6
 
 __all__ = [
     "ResultRecord",
@@ -49,13 +51,7 @@ class ResultRecord:
 
 
 def format_witness(witness) -> str:
-    parts = []
-    for key, mult in witness:
-        if isinstance(key, DaEcard):
-            parts.append(f"{mult}×{key.d}×{key.card.canon}")
-        else:
-            parts.append(f"{mult}×-×{key.canon}")
-    return ";".join(parts) or "-"
+    return ";".join("×".join(_key_parts(key, mult)) for key, mult in witness) or "-"
 
 
 def _num(value) -> str:
@@ -85,14 +81,19 @@ def format_record(rec: ResultRecord) -> str:
 
 
 def parse_record(line: str) -> ResultRecord:
+    """One record; a ValueError when a field is malformed or the graph6
+    text does not decode to a graph with the record's n and m."""
     parts = line.rstrip("\n").split("\t")
     if len(parts) != _FIELDS:
         raise ValueError(f"expected {_FIELDS} fields, got {len(parts)}")
     g6, n, m, ern, dern, adv_ern, adv_dern, witness, ms = parts
+    g = parse_graph6(g6)
+    if (g.n, g.m) != (int(n), int(m)):
+        raise ValueError(f"{g6!r} has n={g.n} m={g.m}, the record says n={n} m={m}")
     return ResultRecord(
         g6=g6,
-        n=int(n),
-        m=int(m),
+        n=g.n,
+        m=g.m,
         ern=_parse_num(ern),
         dern=_parse_num(dern),
         adv_ern=_parse_num(adv_ern),

@@ -26,7 +26,7 @@ from .families import (
     parse_family_spec,
 )
 from .graphs import Graph, GraphError, canonical_form, components
-from .recon import adv_recon_number, blocked, recon_number
+from .recon import _isomorphic_components, adv_recon_number, blocked, recon_number
 from .store import ResultRecord, _num, format_witness, store_append, store_scan
 
 __all__ = [
@@ -76,16 +76,6 @@ class Claim:
     kind: str  # "verify" | "census"
     description: str
     check: object  # callable(graph, record) -> bool
-
-
-def _isomorphic_components(g: Graph):
-    comps = components(g)
-    if len(comps) < 2:
-        return None
-    certs = {canonical_form(c) for c in comps}
-    if len(certs) != 1:
-        return None
-    return comps[0]
 
 
 def _is_star(h: Graph) -> bool:
@@ -202,11 +192,11 @@ def _run_sweep(scope: str, graphs, claim_name: str, store_path: str | None) -> S
     violations = []
     for g in graphs:
         cert = canonical_form(g)
-        if cert.canon in seen:
+        if cert in seen:
             continue
-        seen.add(cert.canon)
-        if cert.canon in known:
-            rec = known[cert.canon]
+        seen.add(cert)
+        rec = known.get(cert.canon)
+        if rec is not None:
             resumed += 1
         else:
             rec = evaluate_graph(g)

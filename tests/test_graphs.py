@@ -12,8 +12,10 @@ from reconkit import (
     canonical_form,
     canonical_graph,
     centroid,
+    certificate_graph,
     components,
     edge_degree,
+    enumerate_graphs,
     is_isomorphic,
     parse_graph6,
     write_graph6,
@@ -113,6 +115,20 @@ def test_canonical_graph_is_fixed_point():
         c = canonical_graph(g)
         assert canonical_graph(c) == c
         assert canonical_form(c) == canonical_form(g)
+
+
+def test_certificate_code_orders_and_decodes_like_graph6():
+    # every class on n <= 6 vertices plus random labeled graphs on n <= 10
+    rng = random.Random(11)
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs += [rand_graph(rng, rng.randint(1, 10)) for _ in range(200)]
+    certs = [canonical_form(g) for g in graphs]
+    rng.shuffle(certs)
+    assert sorted(certs) == sorted(certs, key=lambda c: (c.n, c.m, c.canon))
+    for c in certs:
+        h = certificate_graph(c)
+        assert canonical_form(h) == c
+        assert parse_graph6(c.canon) == h
 
 
 def test_is_isomorphic_examples():
@@ -239,5 +255,6 @@ def test_graph6_errors_report_offsets():
     with pytest.raises(Graph6Error):
         parse_graph6("~??")  # long form unsupported
     # nonzero padding: n=2 needs 1 body byte with 5 padding bits
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error) as exc:
         parse_graph6("A" + chr(63 + 1))
+    assert exc.value.offset == 1

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from reconkit import recon
 from reconkit import (
     DaEcard,
     Deck,
@@ -307,6 +310,20 @@ def test_tree_from_two_cards():
     assert is_tree_from_two_cards(leaf_card, spine_card) == "tree"
     # a card with a cycle component stays unknown
     assert is_tree_from_two_cards(graph_union(complete(3), K1), end) == "unknown"
+
+
+def test_relabeled_graph_reuses_blocker_context():
+    t = caterpillar_graph([1, 2, 0, 3])
+    first = recon_number(t, True)
+    perm = list(range(t.n))
+    random.Random(5).shuffle(perm)
+    relabeled = t.permuted(perm)
+    assert relabeled != t
+    before = recon._context.cache_info()
+    again = recon_number(relabeled, True)
+    after = recon._context.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    assert (again.value, again.witness) == (first.value, first.witness)
 
 
 # --- disjoint-union bound --------------------------------------------------------

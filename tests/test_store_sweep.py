@@ -61,6 +61,28 @@ def test_store_duplicates_and_corruption(tmp_path):
     assert sum(1 for _ in open(store)) == 3  # appends never rewrite
 
 
+def test_store_rejects_malformed_graph6(tmp_path):
+    store = tmp_path / "s.txt"
+    rec = rec_for(path(5))
+    store_append(store, rec)
+    fields = format_record(rec).split("\t")
+    bad = [
+        ["zzz"] + fields[1:],  # not graph6 (header says 59 vertices)
+        fields[:1] + ["9"] + fields[2:],  # graph6 has 5 vertices
+        fields[:2] + ["7"] + fields[3:],  # graph6 has 4 edges
+        [fields[0] + "?"] + fields[1:],  # one body byte too many
+    ]
+    with open(store, "a") as fh:
+        for parts in bad:
+            fh.write("\t".join(parts) + "\n")
+    for parts in bad:
+        with pytest.raises(ValueError):
+            parse_record("\t".join(parts))
+    records, stats = store_scan(store)
+    assert records == [rec]
+    assert stats == {"corrupt": len(bad), "duplicates": 0}
+
+
 def test_store_filter(tmp_path):
     store = tmp_path / "s.txt"
     for g in (
