@@ -2,11 +2,13 @@
 
 Graphs live on vertices 0..n-1 (n <= 32) with the adjacency relation stored
 as one bitmask row per vertex.  A Certificate is (n, m, code), where code is
-the least upper-triangle bit packing, as one integer, over all vertex orders
-that respect the refined degree partition, so certificates of two graphs are
-equal exactly when the graphs are isomorphic.  That makes certificates
-usable directly as multiset keys.  graph6 text is only the I/O form: the
-store, the CLI and ``Certificate.canon`` read and write it.
+the least upper-triangle bit packing, as one integer, over the leaves of an
+individualization-refinement search with automorphism pruning (McKay &
+Piperno, Practical graph isomorphism II, 2014; Junttila & Kaski, bliss,
+2007), so certificates of two graphs are equal exactly when the graphs are
+isomorphic.  That makes certificates usable directly as multiset keys.
+CERT_SCHEME names this labeling for the store.  graph6 text is only the
+I/O form: the store, the CLI and ``Certificate.canon`` read and write it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,13 @@ from functools import lru_cache
 
 MAX_VERTICES = 32
 
+# Names the canonical labeling, whose codes key stored records; a labeler
+# that changes any certificate code needs a new name.
+CERT_SCHEME = "ir1"
+
 __all__ = [
     "MAX_VERTICES",
+    "CERT_SCHEME",
     "Graph",
     "GraphError",
     "Graph6Error",
@@ -232,13 +239,19 @@ def _graph6_text(n: int, code: int) -> str:
     return chr(n + 63) + "".join(body)
 
 
-def write_graph6(g: Graph) -> str:
-    """Encode the labeled graph as graph6 text."""
+def _pack(g: Graph) -> int:
+    """The upper triangle of the labeled graph, packed column by column
+    (graph6 order), first bit most significant."""
     code = 0
     for j in range(1, g.n):
         for i in range(j):
             code = code << 1 | (g.rows[j] >> i & 1)
-    return _graph6_text(g.n, code)
+    return code
+
+
+def write_graph6(g: Graph) -> str:
+    """Encode the labeled graph as graph6 text."""
+    return _graph6_text(g.n, _pack(g))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -279,8 +292,8 @@ def parse_graph6(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form: degree-partition refinement + backtracking over
-# partition-respecting orders, taking the least adjacency encoding.
+# Canonical form: individualization-refinement search with automorphism
+# pruning, taking the least adjacency encoding over its leaves.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, order=True)
@@ -305,108 +318,162 @@ class Certificate:
         return _graph6_text(self.n, self.code)
 
 
-def _refined_cells(g: Graph) -> list:
-    """Stable color classes, ordered by an isomorphism-invariant key."""
-    n, rows = g.n, g.rows
-    nbrs = [tuple(_bits(rows[v])) for v in range(n)]
-    degs = [rows[v].bit_count() for v in range(n)]
-    rank = {d: i for i, d in enumerate(sorted(set(degs)))}
-    colors = [rank[d] for d in degs]
-    ncolors = len(rank)
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)
-        ]
-        srank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [srank[s] for s in sigs]
-        if len(srank) == ncolors:
-            colors = new
-            break
-        colors, ncolors = new, len(srank)
-    cells = {}
-    for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    return [cells[c] for c in sorted(cells)]
+def _refine(rows, order, end, queue) -> None:
+    """Refine an ordered partition, in place, until it is equitable.
 
-
-def _min_encoding(g: Graph) -> list:
-    """Least chunk list over partition-respecting orders: chunk[k] packs the
-    adjacency of the k-th vertex to the first k, which is exactly the graph6
-    column order."""
-    n, rows = g.n, g.rows
-    cells = _refined_cells(g)
-    cell_of_pos = []
-    for ci, cell in enumerate(cells):
-        cell_of_pos.extend([ci] * len(cell))
-
-    perm = [0] * n
-    cur = [0] * n
-    best: list | None = None
-    version = 0
-    used = 0
-
-    def dfs(pos: int):
-        nonlocal best, version, used
-        if pos == n:
-            if best is None or cur < best:
-                best = cur.copy()
-                version += 1
+    ``order`` lists the vertices cell by cell and ``end[s]`` is the end of
+    the cell starting at position s.  Each splitter cell taken from
+    ``queue`` (starts, first in first out) splits every cell by neighbour
+    count in the splitter; the parts keep their cell's place, ordered by
+    that count.  A split cell that is not queued already accounts for its
+    union, so its first largest part is not queued (Hopcroft).  Every step
+    reads positions and counts only, never vertex labels, so the result
+    commutes with relabeling.
+    """
+    n = len(order)
+    queued = set(queue)
+    ncells = 0
+    c = 0
+    while c < n:
+        ncells += 1
+        c = end[c]
+    for s in queue:  # the loop also visits starts appended below
+        if ncells == n:
             return
-        # Candidates from this position's cell; interchangeable twins
-        # (equal open or closed neighborhoods) are explored once.
-        scored = []
-        seen_open = set()
-        seen_closed = set()
-        for v in cells[cell_of_pos[pos]]:
-            if used >> v & 1:
-                continue
+        queued.discard(s)
+        mask = 0
+        for v in order[s:end[s]]:
+            mask |= 1 << v
+        c = 0
+        while c < n:
+            e = end[c]
+            if e - c > 1:
+                parts: dict = {}
+                for v in order[c:e]:
+                    parts.setdefault((rows[v] & mask).bit_count(), []).append(v)
+                if len(parts) > 1:
+                    split = [parts[count] for count in sorted(parts)]
+                    starts = []
+                    p = c
+                    for part in split:
+                        starts.append(p)
+                        for v in part:
+                            order[p] = v
+                            p += 1
+                        end[starts[-1]] = p
+                    ncells += len(split) - 1
+                    if c in queued:
+                        del starts[0]
+                    else:
+                        del starts[split.index(max(split, key=len))]
+                    queue.extend(starts)
+                    queued.update(starts)
+            c = e
+
+
+def _leaf_code(rows, order) -> int:
+    """Upper triangle of the graph read in vertex order ``order``, packed
+    column by column (graph6 order), first bit most significant."""
+    n = len(order)
+    rev = [0] * n  # bit n-1-i marks the vertex at position i
+    for i, v in enumerate(order):
+        rev[v] = 1 << (n - 1 - i)
+    code = 0
+    for j in range(1, n):
+        row = rows[order[j]]
+        relabeled = 0
+        while row:
+            low = row & -row
+            relabeled |= rev[low.bit_length() - 1]
+            row ^= low
+        code = code << j | relabeled >> (n - j)
+    return code
+
+
+def _least_leaf_code(g: Graph) -> int:
+    """Individualization-refinement search: the least leaf code.
+
+    The root is the equitable refinement of the unit partition.  A node's
+    children individualize each vertex v of its first non-singleton cell:
+    {v} goes before the rest of the cell and refinement runs with {v} as
+    the only splitter.  A leaf is a discrete partition, read as a vertex
+    order.  A child is skipped when it is a twin of an explored sibling
+    (equal open or closed neighbourhood), or in an explored sibling's orbit
+    under the automorphisms found so far that fix the node's individualized
+    vertices; an automorphism comes from each leaf whose code equals the
+    best, and the search then returns to where that leaf's path left the
+    best leaf's, since the subtree it is in maps onto one already explored.
+    Skipped subtrees are images of explored ones, so the least code over
+    all leaves is found.
+    """
+    n, rows = g.n, g.rows
+    order = list(range(n))
+    end = [n] * n
+    _refine(rows, order, end, [0])
+    best_code = best_order = best_path = None
+    autos = []
+
+    def dfs(order, end, path) -> int:
+        # Returns the depth the search unwinds to.
+        nonlocal best_code, best_order, best_path
+        depth = len(path)
+        c = 0
+        while c < n and end[c] - c == 1:
+            c += 1
+        if c == n:
+            code = _leaf_code(rows, order)
+            if best_code is None or code < best_code:
+                best_code, best_order, best_path = code, order, path
+            elif code == best_code:
+                auto = [0] * n
+                for v, w in zip(order, best_order):
+                    auto[v] = w
+                autos.append(auto)
+                return next(i for i, (v, w) in enumerate(zip(path, best_path)) if v != w)
+            return depth
+        e = end[c]
+        tried = []
+        for v in sorted(order[c:e]):
             row = rows[v]
-            closed = row | (1 << v)
-            if row in seen_open or closed in seen_closed:
+            if any(row == rows[u] or row | 1 << v == rows[u] | 1 << u for u in tried):
+                continue  # a twin of an explored sibling
+            if tried and v in _orbit(autos, path, tried):
                 continue
-            seen_open.add(row)
-            seen_closed.add(closed)
-            chunk = 0
-            for k in range(pos):
-                chunk = chunk << 1 | (row >> perm[k] & 1)
-            scored.append((chunk, v))
-        scored.sort()
+            tried.append(v)
+            o, en = order[:], end[:]
+            i = o.index(v, c)
+            o[i], o[c] = o[c], v
+            en[c], en[c + 1] = c + 1, e
+            _refine(rows, o, en, [c])
+            back = dfs(o, en, path + [v])
+            if back < depth:
+                return back
+        return depth
 
-        if best is None:
-            cmp = -1
-        else:
-            cmp = 0
-            for k in range(pos):
-                if cur[k] != best[k]:
-                    cmp = -1 if cur[k] < best[k] else 1
-                    break
-        for chunk, v in scored:
-            if best is not None:
-                if cmp > 0:
-                    break
-                if cmp == 0 and chunk > best[pos]:
-                    break
-            perm[pos] = v
-            cur[pos] = chunk
-            used |= 1 << v
-            before = version
-            dfs(pos + 1)
-            used ^= 1 << v
-            if version != before:
-                cmp = 0  # new best extends our prefix
+    dfs(order, end, [])
+    return best_code
 
-    dfs(0)
-    return best
+
+def _orbit(autos, fixed, seeds) -> set:
+    """The images of the seeds under the group generated by the
+    automorphisms in ``autos`` that fix every vertex of ``fixed``."""
+    gens = [auto for auto in autos if all(auto[u] == u for u in fixed)]
+    orbit = set(seeds)
+    todo = list(seeds)
+    while todo:
+        v = todo.pop()
+        for auto in gens:
+            if auto[v] not in orbit:
+                orbit.add(auto[v])
+                todo.append(auto[v])
+    return orbit
 
 
 @lru_cache(maxsize=1 << 18)
 def canonical_form(g: Graph) -> Certificate:
     """Certificate of g; equal across all relabelings, distinct across
     non-isomorphic graphs."""
-    code = 0
-    for k, chunk in enumerate(_min_encoding(g)):
-        code = code << k | chunk
-    return Certificate(g.n, g.m, code)
+    return Certificate(g.n, g.m, _least_leaf_code(g))
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -417,6 +484,13 @@ def canonical_graph(g: Graph) -> Graph:
 def certificate_graph(cert: Certificate) -> Graph:
     """Rebuild the canonical representative from a certificate."""
     return _unpack(cert.n, cert.code)
+
+
+def _own_certificate(g: Graph) -> Certificate:
+    """The certificate of a graph that is already its class's canonical
+    graph, as certificate_graph and _classes return them: its own packed
+    triangle, found without a search."""
+    return Certificate(g.n, g.m, _pack(g))
 
 
 def _classes(candidates) -> list:

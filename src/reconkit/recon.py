@@ -29,6 +29,7 @@ from .graphs import (
     Graph,
     GraphError,
     _classes,
+    _own_certificate,
     canonical_form,
     certificate_graph,
     components,
@@ -69,9 +70,9 @@ class ReconResult:
 
 
 def extensions(card: Graph, d: int | None = None) -> list:
-    """All graphs card+uv over non-adjacent pairs u,v, deduplicated by
-    certificate; with d given, only pairs whose degrees sum to d, so the new
-    edge has degree d in the extension."""
+    """All graphs card+uv over non-adjacent pairs u,v, as the canonical
+    graph of each class, in certificate order; with d given, only pairs
+    whose degrees sum to d, so the new edge has degree d in the extension."""
     degs = card.degrees()
     return _classes(
         card.add_edge(u, v)
@@ -119,12 +120,12 @@ def _context(gcert: Certificate, da: bool):
             card, d = certificate_graph(key.card), key.d
         else:
             card, d = certificate_graph(key), None
-        for h in extensions(card, d):
-            cert = canonical_form(h)
-            if cert != gcert and cert not in found:
-                found[cert] = h
-    blist = tuple(found[c] for c in sorted(found))
-    bdecks = tuple(_deck_of_cert(canonical_form(h), da) for h in blist)
+        for h in extensions(card, d):  # canonical graphs: no search needed
+            found.setdefault(_own_certificate(h), h)
+    found.pop(gcert, None)
+    certs = sorted(found)
+    blist = tuple(found[c] for c in certs)
+    bdecks = tuple(_deck_of_cert(c, da) for c in certs)
     max_shared = 0
     example = None
     for h, bd in zip(blist, bdecks):

@@ -1,13 +1,16 @@
 """Append-only result store: one tab-separated record per line.
 
-Fields: canonical graph6, n, m, ern, dern, adv_ern, adv_dern, witness,
-elapsed milliseconds.  Indeterminate numbers are stored as "indet"; the
-witness is a ";"-joined list of "mult x d x graph6" entries using the
-'×' separator, which never occurs in graph6 text.  A record counts only
-once its newline is written, so a line torn by a crash is corrupt, and
-so is a line whose graph6 does not decode to a graph with its n and m.
-Scanning skips corrupt lines with a warning count and deduplicates by
-certificate, last write winning.
+The first line of a store is the header ``#reconkit-store v2
+cert=<scheme>``, naming the certificate scheme whose canonical graph6 keys
+the records; stores written before headers existed have none and were
+keyed by the lex-min labeler.  Record fields: canonical graph6, n, m, ern,
+dern, adv_ern, adv_dern, witness, elapsed milliseconds.  Indeterminate
+numbers are stored as "indet"; the witness is a ";"-joined list of
+"mult x d x graph6" entries using the '×' separator, which never occurs
+in graph6 text.  A record counts only once its newline is written, so a
+line torn by a crash is corrupt, and so is a line whose graph6 does not
+decode to a graph with its n and m.  Scanning skips corrupt lines with a
+warning count and deduplicates by certificate, last write winning.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .decks import _key_parts
-from .graphs import parse_graph6
+from .graphs import CERT_SCHEME, parse_graph6
 
 __all__ = [
     "ResultRecord",
@@ -26,10 +29,13 @@ __all__ = [
     "format_witness",
     "store_append",
     "store_scan",
+    "check_store_scheme",
     "default_store_path",
 ]
 
 STORE_ENV = "RECONKIT_STORE"
+_HEADER_PREFIX = "#reconkit-store "
+STORE_HEADER = f"{_HEADER_PREFIX}v2 cert={CERT_SCHEME}"
 _FIELDS = 9
 
 
@@ -104,16 +110,42 @@ def parse_record(line: str) -> ResultRecord:
 
 
 def store_append(path: str, rec: ResultRecord) -> None:
-    """Append one record line, first ending a line torn by a crash so that
-    the new record does not run on from it."""
+    """Append one record line, after the header when the store is new or
+    empty, and after ending a line torn by a crash so that the new record
+    does not run on from it."""
     line = (format_record(rec) + "\n").encode("utf-8")
     with open(path, "ab+") as fh:
         end = fh.seek(0, os.SEEK_END)
-        if end:
+        if not end:
+            line = (STORE_HEADER + "\n").encode("utf-8") + line
+        else:
             fh.seek(end - 1)
             if fh.read(1) != b"\n":
                 line = b"\n" + line
         fh.write(line)
+
+
+def check_store_scheme(path: str) -> None:
+    """Raise ValueError unless the store at path is missing, empty, or
+    headed by this certificate scheme.  Records are found by canonical
+    graph6, which another scheme writes differently, so resuming across a
+    scheme change would miss every record and append duplicates."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first = fh.readline()
+    except FileNotFoundError:
+        return
+    header = first.rstrip("\n")
+    if not first or header == STORE_HEADER:
+        return
+    if header.startswith(_HEADER_PREFIX):
+        found = f"under {header!r}"
+    else:
+        found = "without a header, by the lex-min labeler"
+    raise ValueError(
+        f"store {path} was written {found}; this version writes "
+        f"{STORE_HEADER!r}, so resume into a new store"
+    )
 
 
 _FILTER_RE = re.compile(r"^\s*(\w+)\s*(>=|<=|!=|=|>|<)\s*(\S+)\s*$")
@@ -151,14 +183,17 @@ def store_scan(path: str, filter_expr: str | None = None):
     """Records from the store, deduplicated by graph (last write wins).
 
     Returns (records, stats) where stats counts corrupt lines skipped and
-    duplicate certificates flagged.
+    duplicate certificates flagged.  The header line is neither; stores
+    without one are read the same way.
     """
     predicate = parse_filter(filter_expr) if filter_expr else None
     by_cert: dict = {}
     stats = {"corrupt": 0, "duplicates": 0}
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh):
+                if lineno == 0 and line.startswith(_HEADER_PREFIX):
+                    continue
                 if not line.strip():
                     continue
                 if not line.endswith("\n"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .caterpillar import CaterpillarSeq, seq_of
-from .decks import DaEcard, Deck, da_edeck, edge_deck, sub_multiset
+from .decks import DaEcard, Deck, edge_deck, sub_multiset
 from .families import (
     caterpillar_graph,
     disjoint_union,
@@ -26,8 +26,21 @@ from .families import (
     parse_family_spec,
 )
 from .graphs import Graph, GraphError, canonical_form, components
-from .recon import _isomorphic_components, adv_recon_number, blocked, recon_number
-from .store import ResultRecord, _num, format_witness, store_append, store_scan
+from .recon import (
+    _deck_of_cert,
+    _isomorphic_components,
+    adv_recon_number,
+    blocked,
+    recon_number,
+)
+from .store import (
+    ResultRecord,
+    _num,
+    check_store_scheme,
+    format_witness,
+    store_append,
+    store_scan,
+)
 
 __all__ = [
     "Claim",
@@ -184,6 +197,7 @@ def _run_sweep(scope: str, graphs, claim_name: str, store_path: str | None) -> S
     t0 = time.perf_counter()
     known = {}
     if store_path:
+        check_store_scheme(store_path)
         existing, _stats = store_scan(store_path)
         known = {rec.g6: rec for rec in existing}
     records = []
@@ -310,4 +324,5 @@ def pair_certifies(t: Graph, cards) -> bool:
     """True iff the multiset of da-ecards lies in t's da-edeck and in no
     blocker's da-edeck."""
     need = Deck(Counter(cards))
-    return sub_multiset(need, da_edeck(t)) and not blocked(t, need, True)
+    deck = _deck_of_cert(canonical_form(t), True)
+    return sub_multiset(need, deck) and not blocked(t, need, True)

@@ -13,7 +13,10 @@ from reconkit import (
     canonical_graph,
     centroid,
     certificate_graph,
+    complete_bipartite,
     components,
+    cycle,
+    disjoint_union,
     edge_degree,
     enumerate_graphs,
     is_isomorphic,
@@ -129,6 +132,49 @@ def test_certificate_code_orders_and_decodes_like_graph6():
         h = certificate_graph(c)
         assert canonical_form(h) == c
         assert parse_graph6(c.canon) == h
+
+
+def cube(d):
+    n = 1 << d
+    return Graph.from_edges(
+        n, [(v, v | 1 << b) for v in range(n) for b in range(d) if not v >> b & 1]
+    )
+
+
+def test_symmetric_ladder_certificates():
+    # highly symmetric inputs: one certificate under every relabeling, and
+    # the certificate's own graph maps back to it
+    rng = random.Random(5)
+    ladder = [cycle(n) for n in range(8, 33)]
+    ladder += [disjoint_union(k, S(3)) for k in range(2, 9)]
+    ladder += [cube(4), cube(5)]
+    for g in ladder:
+        c = canonical_form(g)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(g.permuted(perm)) == c
+        assert canonical_form(certificate_graph(c)) == c
+
+
+def test_regular_look_alikes_have_distinct_certificates():
+    prism = Graph.from_edges(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    )
+    groups = [
+        [cycle(6), disjoint_union(2, K(3))],
+        [complete_bipartite(3, 3), prism],
+        [cycle(12), disjoint_union(2, cycle(6)), disjoint_union(3, cycle(4)),
+         disjoint_union(4, K(3))],
+    ]
+    for group in groups:
+        assert len({canonical_form(g) for g in group}) == len(group)
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                if a.n <= 8:
+                    assert not exhaustive_isomorphic(a, b)
+                else:  # too many bijections to try; components differ
+                    assert len(components(a)) != len(components(b))
 
 
 def test_is_isomorphic_examples():

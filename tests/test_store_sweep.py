@@ -13,6 +13,7 @@ from reconkit import (
     star,
 )
 from reconkit.store import (
+    STORE_HEADER,
     ResultRecord,
     format_record,
     parse_record,
@@ -58,7 +59,8 @@ def test_store_duplicates_and_corruption(tmp_path):
     records, stats = store_scan(store)
     assert len(records) == 1
     assert stats["duplicates"] == 1 and stats["corrupt"] == 1
-    assert sum(1 for _ in open(store)) == 3  # appends never rewrite
+    # the header, then the appended lines: appends never rewrite
+    assert sum(1 for _ in open(store)) == 4
 
 
 def test_store_rejects_malformed_graph6(tmp_path):
@@ -81,6 +83,36 @@ def test_store_rejects_malformed_graph6(tmp_path):
     records, stats = store_scan(store)
     assert records == [rec]
     assert stats == {"corrupt": len(bad), "duplicates": 0}
+
+
+def test_store_header_names_certificate_scheme(tmp_path):
+    store = tmp_path / "s.txt"
+    store_append(store, rec_for(path(4)))
+    store_append(store, rec_for(path(5)))
+    lines = store.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == STORE_HEADER and len(lines) == 3
+    report = sweep_trees(5, "dern-le-2", str(store))
+    assert report.resumed == 1 and report.computed == 2
+
+
+def test_sweep_refuses_store_of_another_scheme(tmp_path):
+    # a store without a header was keyed by the lex-min labeler's graph6, so
+    # resuming into it would miss every record and append duplicates
+    record = format_record(rec_for(path(4))) + "\n"
+    legacy = tmp_path / "legacy.txt"
+    legacy.write_text(record, encoding="utf-8")
+    other = tmp_path / "other.txt"
+    other.write_text("#reconkit-store v2 cert=other\n" + record, encoding="utf-8")
+    for store, why in ((legacy, "lex-min"), (other, "cert=other")):
+        with pytest.raises(ValueError, match=why):
+            sweep_trees(5, "dern-le-2", str(store))
+        out = run_cli(["sweep", "--trees", "5", "--claim", "dern-le-2"], env_store=store)
+        assert out.returncode == 1 and why in out.stderr
+        assert store.read_text(encoding="utf-8").endswith(record)  # untouched
+        records, stats = store_scan(store)  # still readable
+        assert len(records) == 1 and stats == {"corrupt": 0, "duplicates": 0}
+    out = run_cli(["store", "scan"], env_store=legacy)
+    assert out.returncode == 0 and out.stdout == record
 
 
 def test_store_filter(tmp_path):
