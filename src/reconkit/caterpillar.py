@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, GraphError, _bits, _component_masks
+from .graphs import Graph, _bits, _require_tree
 
 __all__ = [
     "CaterpillarSeq",
@@ -194,8 +194,7 @@ def identifying_pair(s: CaterpillarSeq) -> tuple:
 
 def seq_of(t: Graph) -> CaterpillarSeq | None:
     """Sequence of t if it is a caterpillar, else None; t must be a tree."""
-    if t.m != t.n - 1 or len(_component_masks(t)) != 1:
-        raise GraphError("not a tree")
+    _require_tree(t)
     n = t.n
     if n == 1:
         return CaterpillarSeq((0,))

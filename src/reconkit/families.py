@@ -17,6 +17,7 @@ from .graphs import (
     GraphError,
     _classes,
     canonical_graph,
+    certificate_graph,
     parse_graph6,
 )
 
@@ -141,7 +142,8 @@ def spider(lengths) -> Graph:
 def _trees(n: int) -> tuple:
     if n == 1:
         return (Graph.from_edges(1, []),)
-    return tuple(_classes(t.add_vertex([v]) for t in _trees(n - 1) for v in range(t.n)))
+    certs = _classes(t.add_vertex([v]) for t in _trees(n - 1) for v in range(t.n))
+    return tuple(map(certificate_graph, certs))
 
 
 def enumerate_trees(n: int):
@@ -160,13 +162,12 @@ def enumerate_trees(n: int):
 def _graphs(n: int) -> tuple:
     if n == 1:
         return (Graph.from_edges(1, []),)
-    return tuple(
-        _classes(
-            g.add_vertex([v for v in range(n - 1) if nb >> v & 1])
-            for g in _graphs(n - 1)
-            for nb in range(1 << (n - 1))
-        )
+    certs = _classes(
+        g.add_vertex([v for v in range(n - 1) if nb >> v & 1])
+        for g in _graphs(n - 1)
+        for nb in range(1 << (n - 1))
     )
+    return tuple(map(certificate_graph, certs))
 
 
 def enumerate_graphs(n: int, m: int | None = None):
@@ -215,7 +216,10 @@ def parse_family_spec(text: str) -> Graph:
         for term in rest.split("+"):
             count, mul, inner = term.partition("*")
             if mul:
-                blocks.extend([parse_family_spec(inner)] * int(count))
+                k = int(count)
+                if not 1 <= k <= MAX_VERTICES:
+                    raise GraphError(f"union count must be in 1..{MAX_VERTICES}, got {k}")
+                blocks.extend([parse_family_spec(inner)] * k)
             else:
                 blocks.append(parse_family_spec(term))
         return graph_union(*blocks)

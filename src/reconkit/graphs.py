@@ -239,19 +239,9 @@ def _graph6_text(n: int, code: int) -> str:
     return chr(n + 63) + "".join(body)
 
 
-def _pack(g: Graph) -> int:
-    """The upper triangle of the labeled graph, packed column by column
-    (graph6 order), first bit most significant."""
-    code = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            code = code << 1 | (g.rows[j] >> i & 1)
-    return code
-
-
 def write_graph6(g: Graph) -> str:
     """Encode the labeled graph as graph6 text."""
-    return _graph6_text(g.n, _pack(g))
+    return _graph6_text(g.n, _leaf_code(g.rows, range(g.n)))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -486,18 +476,11 @@ def certificate_graph(cert: Certificate) -> Graph:
     return _unpack(cert.n, cert.code)
 
 
-def _own_certificate(g: Graph) -> Certificate:
-    """The certificate of a graph that is already its class's canonical
-    graph, as certificate_graph and _classes return them: its own packed
-    triangle, found without a search."""
-    return Certificate(g.n, g.m, _pack(g))
-
-
 def _classes(candidates) -> list:
-    """One canonical representative per isomorphism class among the
-    candidate graphs, in certificate order."""
-    certs = {canonical_form(g) for g in candidates}
-    return [certificate_graph(c) for c in sorted(certs)]
+    """The certificates of the isomorphism classes among the candidate
+    graphs, each once, in increasing order; decoding one is left to the
+    caller that needs its graph."""
+    return sorted({canonical_form(g) for g in candidates})
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

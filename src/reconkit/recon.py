@@ -29,7 +29,6 @@ from .graphs import (
     Graph,
     GraphError,
     _classes,
-    _own_certificate,
     canonical_form,
     certificate_graph,
     components,
@@ -57,6 +56,8 @@ class ReconResult:
     the minimum variants the witness is the smallest unblocked sub-multiset,
     reported as (key, multiplicity) pairs; for the adversary variants it is
     the largest blocked sub-multiset, whose size is ``value - 1``.
+    ``blocker_example`` is the canonical graph of the first blocker, in
+    certificate order, whose deck shares ``max_shared`` cards with the deck.
     """
 
     value: int | None
@@ -70,9 +71,9 @@ class ReconResult:
 
 
 def extensions(card: Graph, d: int | None = None) -> list:
-    """All graphs card+uv over non-adjacent pairs u,v, as the canonical
-    graph of each class, in certificate order; with d given, only pairs
-    whose degrees sum to d, so the new edge has degree d in the extension."""
+    """The certificates of all graphs card+uv over non-adjacent pairs u,v,
+    each class once, in increasing order; with d given, only pairs whose
+    degrees sum to d, so the new edge has degree d in the extension."""
     degs = card.degrees()
     return _classes(
         card.add_edge(u, v)
@@ -98,7 +99,7 @@ def blockers(g: Graph, da: bool) -> list:
     with g.  Complete: a shared card C forces H = C plus one edge."""
     if g.m < 1:
         raise GraphError("blockers of an edgeless graph")
-    return list(_context(canonical_form(g), da)[1])
+    return [certificate_graph(c) for c in _context(canonical_form(g), da)[1]]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -109,30 +110,35 @@ def _deck_of_cert(cert: Certificate, da: bool) -> Deck:
 
 @lru_cache(maxsize=4096)
 def _context(gcert: Certificate, da: bool):
-    """The class's (da-)edeck, its blockers in certificate order with their
-    decks, and the largest overlap between its deck and a blocker's, with
-    the first blocker reaching it.  Keyed by certificate, so every labeling
-    of a graph shares one context."""
+    """The class's (da-)edeck, its blockers' certificates in increasing
+    order with their decks, and the largest overlap between its deck and a
+    blocker's, with the certificate of the first blocker reaching it.
+    Keyed by certificate, so every labeling of a graph shares one context.
+    Blockers stay certificates: only _deck_of_cert decodes one, to build
+    its deck."""
     deck = _deck_of_cert(gcert, da)
-    found: dict = {}
+    found = set()
     for key in deck.keys():
         if da:
             card, d = certificate_graph(key.card), key.d
         else:
             card, d = certificate_graph(key), None
-        for h in extensions(card, d):  # canonical graphs: no search needed
-            found.setdefault(_own_certificate(h), h)
-    found.pop(gcert, None)
-    certs = sorted(found)
-    blist = tuple(found[c] for c in certs)
-    bdecks = tuple(_deck_of_cert(c, da) for c in certs)
+        found.update(extensions(card, d))
+    found.discard(gcert)
+    blist = tuple(sorted(found))
+    bdecks = tuple(_deck_of_cert(c, da) for c in blist)
     max_shared = 0
     example = None
-    for h, bd in zip(blist, bdecks):
+    for c, bd in zip(blist, bdecks):
         shared = intersection_size(deck, bd)
         if shared > max_shared:
-            max_shared, example = shared, h
+            max_shared, example = shared, c
     return deck, blist, bdecks, max_shared, example
+
+
+def _decoded(cert: Certificate | None) -> Graph | None:
+    """The canonical graph of a blocker certificate, for blocker_example."""
+    return None if cert is None else certificate_graph(cert)
 
 
 def blocked(g: Graph, cards: Deck, da: bool) -> bool:
@@ -168,6 +174,7 @@ def recon_number(g: Graph, da: bool = False) -> ReconResult:
     if g.m < 1:
         raise GraphError("reconstruction number of an edgeless graph")
     deck, _blist, _bdecks, max_shared, example = _context(canonical_form(g), da)
+    example = _decoded(example)
     if blocked(g, deck, da):
         return ReconResult(None, (), max_shared, example)
     keys = deck.keys()
@@ -187,7 +194,7 @@ def adv_recon_number(g: Graph, da: bool = False) -> ReconResult:
         raise GraphError("reconstruction number of an edgeless graph")
     deck, blist, bdecks, max_shared, example = _context(canonical_form(g), da)
     if max_shared >= deck.total:
-        return ReconResult(None, (), max_shared, example)
+        return ReconResult(None, (), max_shared, _decoded(example))
     witness = ()
     if example is not None:
         bd = bdecks[blist.index(example)]
@@ -196,7 +203,7 @@ def adv_recon_number(g: Graph, da: bool = False) -> ReconResult:
             for key, m in deck.items()
             if min(m, bd.mult(key)) > 0
         )
-    return ReconResult(max_shared + 1, witness, max_shared, example)
+    return ReconResult(max_shared + 1, witness, max_shared, _decoded(example))
 
 
 def is_tree_from_two_cards(c1: Graph, c2: Graph) -> str:

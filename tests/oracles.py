@@ -5,7 +5,9 @@ decided by trying every vertex permutation that preserves degrees, and free
 trees are counted by decoding every Prufer sequence and hashing an AHU-style
 rooted code at the tree's center.  Deck facts are decided from labeled
 cards: a card of a graph on the same vertex set is that graph minus one
-edge, so a graph with card C is C plus one edge.
+edge, so a graph with card C is C plus one edge.  The four reconstruction
+numbers follow from those facts alone (``ern``, ``dern``, ``adv_ern``,
+``adv_dern``).
 """
 
 from __future__ import annotations
@@ -92,6 +94,83 @@ def blocker(g: Graph, cards):
         if not exhaustive_isomorphic(h, g) and carries(h, cards):
             return h
     return None
+
+
+def _card_classes(g: Graph, da: bool) -> list:
+    """g's (da-)ecards grouped by isomorphism and d, as [card, d,
+    multiplicity]; d is None for plain edge-cards."""
+    classes = []
+    for card, d in da_ecards(g):
+        d = d if da else None
+        for cls in classes:
+            if cls[1] == d and exhaustive_isomorphic(cls[0], card):
+                cls[2] += 1
+                break
+        else:
+            classes.append([card, d, 1])
+    return classes
+
+
+def _blocker_graphs(g: Graph, classes) -> list:
+    """Every graph not isomorphic to g that shares a card with it, as
+    labeled extensions of g's cards (a class may appear more than once)."""
+    return [
+        h
+        for card, d, _ in classes
+        for h in one_edge_extensions(card, d)
+        if not exhaustive_isomorphic(h, g)
+    ]
+
+
+def _min_number(g: Graph, da: bool):
+    """Least k such that some k cards of g's deck are carried by no
+    blocker; None when the whole deck is carried by one."""
+    classes = _card_classes(g, da)
+    found = _blocker_graphs(g, classes)
+    for k in range(1, g.m + 1):
+        for xs in product(*(range(m + 1) for _, _, m in classes)):
+            if sum(xs) != k:
+                continue
+            cards = [(card, d) for (card, d, _), x in zip(classes, xs) for _ in range(x)]
+            if not any(carries(h, cards) for h in found):
+                return k
+    return None
+
+
+def _shared(h: Graph, classes) -> int:
+    """How many of the classes' cards h carries at once.  Cards of h match
+    one class each, so adding the cards class by class is exact."""
+    chosen = []
+    for card, d, m in classes:
+        for _ in range(m):
+            if not carries(h, chosen + [(card, d)]):
+                break
+            chosen.append((card, d))
+    return len(chosen)
+
+
+def _adv_number(g: Graph, da: bool):
+    """One more than the most cards g shares with a blocker; None when a
+    blocker carries the whole deck."""
+    classes = _card_classes(g, da)
+    most = max((_shared(h, classes) for h in _blocker_graphs(g, classes)), default=0)
+    return None if most >= g.m else most + 1
+
+
+def ern(g: Graph):
+    return _min_number(g, da=False)
+
+
+def dern(g: Graph):
+    return _min_number(g, da=True)
+
+
+def adv_ern(g: Graph):
+    return _adv_number(g, da=False)
+
+
+def adv_dern(g: Graph):
+    return _adv_number(g, da=True)
 
 
 def labeled_graphs(n: int):

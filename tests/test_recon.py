@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from reconkit import recon
 from reconkit import (
     DaEcard,
@@ -13,6 +14,7 @@ from reconkit import (
     blockers,
     canonical_form,
     caterpillar_graph,
+    certificate_graph,
     complete,
     cycle,
     da_edeck,
@@ -20,10 +22,10 @@ from reconkit import (
     disjoint_union,
     edge_deck,
     enumerate_graphs,
+    enumerate_trees,
     extensions,
     graph_union,
     intersection_size,
-    is_isomorphic,
     is_tree_from_two_cards,
     path,
     recon_number,
@@ -49,13 +51,13 @@ def test_extensions_of_star_card():
         canonical_form(star(3)),
         canonical_form(graph_union(complete(3), K1)),
     }
-    assert {canonical_form(h) for h in exts} == expected
+    assert exts == sorted(expected)
 
 
 def test_extensions_on_triangle_card():
     # the only non-adjacent pair of P_3 closes the triangle
     exts = extensions(P(3), 2)
-    assert len(exts) == 1 and is_isomorphic(exts[0], complete(3))
+    assert exts == [canonical_form(complete(3))]
     assert extensions(P(3)) == exts
 
 
@@ -70,10 +72,21 @@ def test_extensions_degree_two_without_isolates_joins_endvertices():
 
 def test_extensions_degree_zero_needs_isolates():
     card = graph_union(P(3), K1, K1)
-    exts = extensions(card, 0)
-    assert len(exts) == 1
-    assert is_isomorphic(exts[0], graph_union(P(3), P(2)))
+    assert extensions(card, 0) == [canonical_form(graph_union(P(3), P(2)))]
     assert extensions(P(4), 0) == []
+
+
+def test_extensions_are_the_certificates_of_the_labeled_extensions():
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            degs = g.degrees()
+            for u, v in g.edges():
+                card = g.remove_edge(u, v)
+                for d in (None, degs[u] + degs[v] - 2):
+                    exts = extensions(card, d)
+                    assert all(a < b for a, b in zip(exts, exts[1:]))
+                    want = {canonical_form(h) for h in oracles.one_edge_extensions(card, d)}
+                    assert exts == sorted(want)
 
 
 # --- determines -------------------------------------------------------------
@@ -116,9 +129,7 @@ def test_determines_fast_path_agrees_with_scan():
                     if not card.has_edge(a, b) and degs[a] + degs[b] == d
                 ]
                 if d == 0 or len(qualifying) == 1:
-                    assert all(
-                        is_isomorphic(h, g) for h in extensions(card, d)
-                    )
+                    assert extensions(card, d) == [canonical_form(g)]
 
 
 # --- blockers ---------------------------------------------------------------
@@ -187,7 +198,39 @@ def test_blocked_matches_blocker_decks_n5():
                     assert blocked(g, cards, da) == want
 
 
+def test_blockers_and_examples_are_canonical_graphs():
+    for n in range(2, 6):
+        for g in enumerate_graphs(n):
+            if g.m < 1:
+                continue
+            for da in (False, True):
+                shown = blockers(g, da)
+                for res in (recon_number(g, da), adv_recon_number(g, da)):
+                    if res.blocker_example is not None:
+                        shown.append(res.blocker_example)
+                for h in shown:
+                    assert certificate_graph(canonical_form(h)) == h
+
+
 # --- reconstruction numbers --------------------------------------------------
+
+def test_four_numbers_match_oracle():
+    # every graph with n <= 5 and an edge, and every tree with n <= 7,
+    # against oracles that never use the package's labeling or decks
+    graphs = [g for n in range(2, 6) for g in enumerate_graphs(n) if g.m >= 1]
+    graphs += [t for n in (6, 7) for t in enumerate_trees(n)]
+    indeterminate = 0
+    for g in graphs:
+        got = (
+            recon_number(g, da=False).value,
+            recon_number(g, da=True).value,
+            adv_recon_number(g, da=False).value,
+            adv_recon_number(g, da=True).value,
+        )
+        want = (oracles.ern(g), oracles.dern(g), oracles.adv_ern(g), oracles.adv_dern(g))
+        assert got == want, g
+        indeterminate += got.count(None)
+    assert indeterminate > 0
 
 def test_recon_number_examples():
     assert recon_number(disjoint_union(2, complete(3)), da=True).value == 1

@@ -5,13 +5,16 @@ import pytest
 
 from reconkit import (
     Graph,
+    GraphError,
     canonical_form,
     complete,
     disjoint_union,
     graph_union,
+    parse_family_spec,
     path,
     star,
 )
+from reconkit.graphs import MAX_VERTICES
 from reconkit.store import (
     STORE_HEADER,
     ResultRecord,
@@ -319,6 +322,16 @@ def test_cli_store_roundtrip(tmp_path):
     out = run_cli(["store", "scan", "--filter", "dern>=2"], env_store=store)
     for line in out.stdout.strip().splitlines():
         assert int(line.split("\t")[4]) >= 2
+
+
+def test_union_count_out_of_range():
+    for spec in ("U:-2*K:2+K:3", f"U:{10**19}*K:2", "U:0*K:2", f"U:{MAX_VERTICES + 1}*K:1"):
+        with pytest.raises(GraphError, match="union count"):
+            parse_family_spec(spec)
+        out = run_cli(["recon", spec])
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("error: union count") and "Traceback" not in out.stderr
+    assert parse_family_spec(f"U:{MAX_VERTICES}*K:1").n == MAX_VERTICES
 
 
 def test_cli_family_and_errors():
