@@ -104,12 +104,24 @@ def _cmd_deck(args) -> int:
     return 0
 
 
-def _print_result(name: str, result) -> None:
+# --which name -> (function, da)
+_NUMBERS = {
+    "ern": (recon_number, False),
+    "dern": (recon_number, True),
+    "adv-ern": (adv_recon_number, False),
+    "adv-dern": (adv_recon_number, True),
+}
+
+
+def _print_number(g, name: str) -> None:
+    number, da = _NUMBERS[name]
+    print(f"graph: {canonical_form(g).canon}  n={g.n} m={g.m}")
+    result = number(g, da=da)
     print(f"{name} = {_num(result.value)}")
     print(f"witness: {format_witness(result.witness)}")
     print(f"max shared with a blocker: {result.max_shared}")
     if result.blocker_example is not None:
-        print(f"blocker example: {canonical_form(result.blocker_example).canon}")
+        print(f"blocker example: {write_graph6(result.blocker_example)}")
 
 
 def _cmd_recon(args) -> int:
@@ -118,27 +130,13 @@ def _cmd_recon(args) -> int:
     if args.which == "all":
         print(format_record(evaluate_graph(g)))
         return 0
-    which = args.which
-    cert = canonical_form(g)
-    print(f"graph: {cert.canon}  n={g.n} m={g.m}")
-    if which == "ern":
-        _print_result("ern", recon_number(g, da=False))
-    elif which == "dern":
-        _print_result("dern", recon_number(g, da=True))
-    elif which == "adv-ern":
-        _print_result("adv-ern", adv_recon_number(g, da=False))
-    else:
-        _print_result("adv-dern", adv_recon_number(g, da=True))
+    _print_number(g, args.which)
     print(f"elapsed: {int((time.perf_counter() - t0) * 1000)} ms")
     return 0
 
 
 def _cmd_adv(args) -> int:
-    g = resolve_graph_input(args.graph)
-    cert = canonical_form(g)
-    print(f"graph: {cert.canon}  n={g.n} m={g.m}")
-    name = "adv-dern" if args.da else "adv-ern"
-    _print_result(name, adv_recon_number(g, da=args.da))
+    _print_number(resolve_graph_input(args.graph), "adv-dern" if args.da else "adv-ern")
     return 0
 
 

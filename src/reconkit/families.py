@@ -16,6 +16,7 @@ from .graphs import (
     Graph,
     GraphError,
     _classes,
+    _require_size,
     canonical_graph,
     certificate_graph,
     parse_graph6,
@@ -42,45 +43,38 @@ MAX_GRAPH_N = 8
 
 
 def path(n: int) -> Graph:
-    if n < 1:
-        raise GraphError("path needs at least one vertex")
-    return canonical_graph(Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]))
+    return canonical_graph(Graph.from_edges(n, ((i, i + 1) for i in range(n - 1))))
 
 
 def star(t: int) -> Graph:
     """K_{1,t}: one center and t leaves."""
     if t < 1:
         raise GraphError("star needs at least one edge")
-    return canonical_graph(Graph.from_edges(t + 1, [(0, i) for i in range(1, t + 1)]))
+    return canonical_graph(Graph.from_edges(t + 1, ((0, i) for i in range(1, t + 1))))
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise GraphError("complete graph needs at least one vertex")
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = ((i, j) for i in range(n) for j in range(i + 1, n))
     return canonical_graph(Graph.from_edges(n, edges))
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
     if p < 1 or q < 1:
         raise GraphError("complete bipartite parts must be nonempty")
-    edges = [(i, p + j) for i in range(p) for j in range(q)]
+    edges = ((i, p + j) for i in range(p) for j in range(q))
     return canonical_graph(Graph.from_edges(p + q, edges))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least three vertices")
-    return canonical_graph(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+    return canonical_graph(Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n))))
 
 
 def graph_union(*graphs: Graph) -> Graph:
     """Disjoint union, blocks keeping their internal labels in order."""
-    if not graphs:
-        raise GraphError("union of nothing")
     total = sum(g.n for g in graphs)
-    if total > MAX_VERTICES:
-        raise GraphError(f"union on {total} vertices exceeds cap {MAX_VERTICES}")
+    _require_size(total)
     rows = []
     offset = 0
     for g in graphs:
@@ -91,8 +85,7 @@ def graph_union(*graphs: Graph) -> Graph:
 
 def disjoint_union(k: int, h: Graph) -> Graph:
     """k disjoint copies of h."""
-    if k < 1:
-        raise GraphError("need at least one copy")
+    _require_size(k * h.n)
     return graph_union(*([h] * k))
 
 
@@ -102,8 +95,7 @@ def caterpillar_graph(seq) -> Graph:
     a = s.a
     k = len(a)
     total = k + sum(a)
-    if total > MAX_VERTICES:
-        raise GraphError(f"caterpillar on {total} vertices exceeds cap {MAX_VERTICES}")
+    _require_size(total)
     edges = [(i, i + 1) for i in range(k - 1)]
     nxt = k
     for i, cnt in enumerate(a):
@@ -121,8 +113,7 @@ def spider(lengths) -> Graph:
     if any(l < 1 for l in legs):
         raise GraphError("spider legs must have at least one edge")
     total = 1 + sum(legs)
-    if total > MAX_VERTICES:
-        raise GraphError(f"spider on {total} vertices exceeds cap {MAX_VERTICES}")
+    _require_size(total)
     edges = []
     nxt = 1
     for leg in legs:
@@ -185,53 +176,57 @@ def enumerate_graphs(n: int, m: int | None = None):
 #                  cat:a1,a2,...  spider:l1,l2,...
 # ---------------------------------------------------------------------------
 
-def _ints(text: str) -> list:
+def _ints(text: str, count: int | None = None) -> list:
     try:
-        return [int(p) for p in text.split(",")]
+        values = [int(p) for p in text.split(",")]
     except ValueError:
         raise GraphError(f"expected comma-separated integers, got {text!r}") from None
+    if count is not None and len(values) != count:
+        raise GraphError(f"expected {count} comma-separated integers, got {text!r}")
+    return values
+
+
+def _union(rest: str) -> Graph:
+    """Blocks joined by '+', each <spec> or k*<spec>; a block is never a
+    union itself, so parsing nests one level at most."""
+    blocks = []
+    for term in rest.split("+"):
+        count, mul, inner = term.partition("*")
+        if not mul:
+            count, inner = "1", term
+        (k,) = _ints(count, 1)
+        if not 1 <= k <= MAX_VERTICES:
+            raise GraphError(f"union count must be in 1..{MAX_VERTICES}, got {k}")
+        if inner.strip().partition(":")[0] == "U":
+            raise GraphError("unions do not nest: write U:2*U:3*K:2 as U:6*K:2")
+        blocks.extend([parse_family_spec(inner)] * k)
+    return graph_union(*blocks)
+
+
+# head -> builder from the text after the colon
+_FAMILIES = {
+    "P": lambda rest: path(*_ints(rest, 1)),
+    "S": lambda rest: star(*_ints(rest, 1)),
+    "K": lambda rest: complete(*_ints(rest, 1)),
+    "Kpq": lambda rest: complete_bipartite(*_ints(rest, 2)),
+    "C": lambda rest: cycle(*_ints(rest, 1)),
+    "U": _union,
+    "cat": lambda rest: caterpillar_graph(_ints(rest)),
+    "spider": lambda rest: spider(_ints(rest)),
+}
 
 
 def parse_family_spec(text: str) -> Graph:
     head, sep, rest = text.strip().partition(":")
     if not sep:
         raise GraphError(f"family spec needs 'name:args', got {text!r}")
-    if head == "P":
-        return path(int(rest))
-    if head == "S":
-        return star(int(rest))
-    if head == "K":
-        return complete(int(rest))
-    if head == "Kpq":
-        p, q = _ints(rest)
-        return complete_bipartite(p, q)
-    if head == "C":
-        return cycle(int(rest))
-    if head == "cat":
-        return caterpillar_graph(_ints(rest))
-    if head == "spider":
-        return spider(_ints(rest))
-    if head == "U":
-        blocks = []
-        for term in rest.split("+"):
-            count, mul, inner = term.partition("*")
-            if mul:
-                k = int(count)
-                if not 1 <= k <= MAX_VERTICES:
-                    raise GraphError(f"union count must be in 1..{MAX_VERTICES}, got {k}")
-                blocks.extend([parse_family_spec(inner)] * k)
-            else:
-                blocks.append(parse_family_spec(term))
-        return graph_union(*blocks)
-    raise GraphError(f"unknown family {head!r}")
-
-
-_FAMILY_HEADS = {"P", "S", "K", "Kpq", "C", "U", "cat", "spider"}
+    if head not in _FAMILIES:
+        raise GraphError(f"unknown family {head!r}")
+    return _FAMILIES[head](rest)
 
 
 def resolve_graph_input(text: str) -> Graph:
     """Parse either family-grammar text or a graph6 string."""
-    head = text.strip().partition(":")[0]
-    if head in _FAMILY_HEADS:
+    if text.strip().partition(":")[0] in _FAMILIES:
         return parse_family_spec(text)
     return parse_graph6(text)

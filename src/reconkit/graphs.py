@@ -54,6 +54,12 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+def _require_size(n: int) -> None:
+    """The one vertex-count gate, run before anything of size n is built."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise GraphError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+
+
 def _bits(mask: int):
     """Indices of the set bits of ``mask``, ascending."""
     while mask:
@@ -73,9 +79,8 @@ class Graph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows):
+        _require_size(n)
         rows = tuple(rows)
-        if not 1 <= n <= MAX_VERTICES:
-            raise GraphError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         if len(rows) != n:
             raise GraphError(f"expected {n} adjacency rows, got {len(rows)}")
         full = (1 << n) - 1
@@ -100,6 +105,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        _require_size(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -157,8 +163,7 @@ class Graph:
     def add_vertex(self, neighbors=()) -> "Graph":
         """New graph with one extra vertex adjacent to ``neighbors``."""
         n = self.n
-        if n + 1 > MAX_VERTICES:
-            raise GraphError(f"vertex cap {MAX_VERTICES} exceeded")
+        _require_size(n + 1)
         nb = 0
         for u in neighbors:
             if not 0 <= u < n:

@@ -175,7 +175,7 @@ def recon_number(g: Graph, da: bool = False) -> ReconResult:
         raise GraphError("reconstruction number of an edgeless graph")
     deck, _blist, _bdecks, max_shared, example = _context(canonical_form(g), da)
     example = _decoded(example)
-    if blocked(g, deck, da):
+    if max_shared == deck.total:
         return ReconResult(None, (), max_shared, example)
     keys = deck.keys()
     mults = [deck.mult(key) for key in keys]

@@ -25,7 +25,7 @@ from .families import (
     graph_union,
     parse_family_spec,
 )
-from .graphs import Graph, GraphError, canonical_form, components
+from .graphs import Graph, GraphError, _component_masks, canonical_form
 from .recon import (
     _deck_of_cert,
     _isomorphic_components,
@@ -287,7 +287,7 @@ def sweep_disconnected(
     def graphs():
         for nh in range(2, max_component + 1):
             for h in enumerate_graphs(nh):
-                if h.m >= 1 and len(components(h)) == 1:
+                if h.m >= 1 and len(_component_masks(h)) == 1:
                     yield disjoint_union(k, h)
 
     scope = f"disconnected {k}H n(H)<={max_component}"

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from oracles import iso_classes_by_permutation, labeled_graphs, prufer_tree_class_count
@@ -5,6 +7,7 @@ from reconkit import (
     Graph,
     GraphError,
     canonical_form,
+    canonical_graph,
     caterpillar_graph,
     centroid,
     complete,
@@ -24,6 +27,7 @@ from reconkit import (
     star,
     write_graph6,
 )
+from reconkit.graphs import MAX_VERTICES
 
 
 def test_named_constructors():
@@ -128,6 +132,37 @@ def test_family_grammar():
         parse_family_spec("X:3")
     with pytest.raises(GraphError):
         parse_family_spec("P4")
+    for spec in ("Kpq:1,2,3", "Kpq:5", "P:3,4"):
+        with pytest.raises(GraphError, match="comma-separated integers"):
+            parse_family_spec(spec)
+
+
+def test_family_specs_build_the_listed_graphs():
+    def listed(n, edges):
+        return canonical_graph(Graph.from_edges(n, edges))
+
+    # canonical families, up to the cap: the canonical graph of the edge list
+    for n in range(1, MAX_VERTICES + 1):
+        assert parse_family_spec(f"P:{n}") == listed(n, [(i, i + 1) for i in range(n - 1)])
+        assert parse_family_spec(f"K:{n}") == listed(n, list(combinations(range(n), 2)))
+        if n >= 2:
+            assert parse_family_spec(f"S:{n - 1}") == listed(n, [(0, i) for i in range(1, n)])
+        if n >= 3:
+            assert parse_family_spec(f"C:{n}") == listed(n, [(i, (i + 1) % n) for i in range(n)])
+        for p in range(1, n):
+            edges = [(i, j) for i in range(p) for j in range(p, n)]
+            assert parse_family_spec(f"Kpq:{p},{n - p}") == listed(n, edges)
+    # labeled families keep their construction labels
+    assert parse_family_spec("cat:2,0,2") == Graph.from_edges(
+        7, [(0, 1), (1, 2), (0, 3), (0, 4), (2, 5), (2, 6)]
+    )
+    assert parse_family_spec("spider:1,1,2") == Graph.from_edges(
+        5, [(0, 1), (0, 2), (0, 3), (3, 4)]
+    )
+    assert parse_family_spec("U:2*K:3+K:1") == Graph.from_edges(
+        7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    )
+    assert parse_family_spec("U:2*P:3") == graph_union(path(3), path(3))
 
 
 def test_resolve_graph_input():

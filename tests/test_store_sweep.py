@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from reconkit import (
     path,
     star,
 )
+from reconkit.families import _FAMILIES
 from reconkit.graphs import MAX_VERTICES
 from reconkit.store import (
     STORE_HEADER,
@@ -332,6 +334,42 @@ def test_union_count_out_of_range():
         assert out.returncode == 1 and out.stdout == ""
         assert out.stderr.startswith("error: union count") and "Traceback" not in out.stderr
     assert parse_family_spec(f"U:{MAX_VERTICES}*K:1").n == MAX_VERTICES
+
+
+def rejected_within_1mb(spec):
+    """parse_family_spec(spec) raises GraphError and peaks under 1 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError):
+            parse_family_spec(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, (spec[:40], peak)
+
+
+def test_oversized_specs_rejected_before_construction():
+    nested = "U:" + "1*U:" * 1199 + "1*K:1"  # 1200 nested unions
+    for spec in (
+        f"P:{10**8}", f"S:{10**6}", f"K:{10**6}", f"C:{10**6}", f"Kpq:{10**6},1",
+        f"cat:{10**9}", f"spider:{10**6},1,1", nested, "Kpq:1,2,3",
+    ):
+        rejected_within_1mb(spec)
+        out = run_cli(["recon", spec])
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert "Traceback" not in out.stderr
+    with pytest.raises(GraphError, match="U:6\\*K:2"):
+        parse_family_spec("U:2*U:3*K:2")
+
+
+@pytest.mark.parametrize("head", sorted(_FAMILIES))
+def test_every_family_head_checks_size_first(head):
+    # One argument of each shape the grammar has (one integer, two, a
+    # sequence, a union block), each naming a 10**6-vertex graph, so a head
+    # added without the vertex-count gate fails here.
+    for args in ("1000000", "1000000,1", "1000000,1,1", "1000000*K:1", "1*P:1000000"):
+        rejected_within_1mb(f"{head}:{args}")
 
 
 def test_cli_family_and_errors():
