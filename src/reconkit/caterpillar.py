@@ -209,23 +209,17 @@ def seq_of(t: Graph) -> CaterpillarSeq | None:
         if len(nb) > 2:
             return None  # leaves removed is not a path
         spine_deg[v] = nb
-    ends = [v for v in spine if len(spine_deg[v]) <= 1]
-    if len(spine) == 1:
-        order = spine
-    else:
-        if len(ends) != 2:
-            return None
-        order = [ends[0]]
-        prev = None
-        while True:
-            cur = order[-1]
-            nxt = [u for u in spine_deg[cur] if u != prev]
-            if not nxt:
-                break
-            prev = cur
-            order.append(nxt[0])
-        if len(order) != len(spine):
-            return None
+    # the non-leaves of a tree induce a subtree, here one of maximum degree
+    # at most 2, so a path: the walk from one end covers the spine
+    order = [next(v for v in spine if len(spine_deg[v]) <= 1)]
+    prev = None
+    while True:
+        cur = order[-1]
+        nxt = [u for u in spine_deg[cur] if u != prev]
+        if not nxt:
+            break
+        prev = cur
+        order.append(nxt[0])
     counts = tuple(
         sum(1 for u in _bits(t.rows[v]) if degs[u] == 1) for v in order
     )

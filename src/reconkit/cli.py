@@ -37,6 +37,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}")
 
 
+def _k_maxh(text: str) -> tuple:
+    k_text, _, maxh_text = text.partition(":")
+    try:
+        return int(k_text), int(maxh_text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected K:MAXH (two integers), got {text!r}"
+        ) from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="reconkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -62,13 +72,15 @@ def _build_parser() -> _Parser:
     scope.add_argument("--trees", type=int, metavar="N")
     scope.add_argument("--caterpillars", type=int, metavar="N")
     scope.add_argument(
-        "--disconnected", metavar="K:MAXH", help="kH over connected H, n(H)<=MAXH"
+        "--disconnected",
+        type=_k_maxh,
+        metavar="K:MAXH",
+        help="kH over connected H, n(H)<=MAXH",
     )
     p.add_argument("--claim", required=True, choices=sorted(CLAIMS))
     p.add_argument("--store", default=None, help="store path (default from env)")
     p.add_argument("--no-store", action="store_true", help="do not persist records")
     p.add_argument("--force", action="store_true", help="override size caps")
-    p.add_argument("--limit", type=int, default=None, help=argparse.SUPPRESS)
 
     p = sub.add_parser("caterpillar", help="sequence calculus")
     csub = p.add_subparsers(dest="action", required=True)
@@ -143,16 +155,12 @@ def _cmd_adv(args) -> int:
 def _cmd_sweep(args) -> int:
     store_path = None if args.no_store else (args.store or default_store_path())
     if args.trees is not None:
-        report = sweep_trees(args.trees, args.claim, store_path, args.force, args.limit)
+        report = sweep_trees(args.trees, args.claim, store_path, args.force)
     elif args.caterpillars is not None:
-        report = sweep_caterpillars(
-            args.caterpillars, args.claim, store_path, args.force, args.limit
-        )
+        report = sweep_caterpillars(args.caterpillars, args.claim, store_path, args.force)
     else:
-        k_text, _, maxh_text = args.disconnected.partition(":")
-        report = sweep_disconnected(
-            int(k_text), int(maxh_text), args.claim, store_path, args.force, args.limit
-        )
+        k, maxh = args.disconnected
+        report = sweep_disconnected(k, maxh, args.claim, store_path, args.force)
     for line in report.lines():
         print(line)
     return 2 if report.failed else 0

@@ -78,27 +78,26 @@ class Deck:
         return f"Deck({{{inner}}})"
 
 
-def edge_deck(g: Graph) -> Deck:
-    """Multiset of certificates of G - e over all edges e."""
+def _deck(g: Graph, da: bool, name: str) -> Deck:
     if g.m < 1:
-        raise GraphError("edge-deck of an edgeless graph")
+        raise GraphError(f"{name} of an edgeless graph")
     entries: dict = {}
     for u, v in g.edges():
-        cert = canonical_form(g.remove_edge(u, v))
-        entries[cert] = entries.get(cert, 0) + 1
+        key = canonical_form(g.remove_edge(u, v))
+        if da:
+            key = DaEcard(key, g.degree(u) + g.degree(v) - 2)
+        entries[key] = entries.get(key, 0) + 1
     return Deck(entries)
+
+
+def edge_deck(g: Graph) -> Deck:
+    """Multiset of certificates of G - e over all edges e."""
+    return _deck(g, False, "edge-deck")
 
 
 def da_edeck(g: Graph) -> Deck:
     """Multiset of (certificate of G - e, d(e)) pairs over all edges e."""
-    if g.m < 1:
-        raise GraphError("da-edeck of an edgeless graph")
-    entries: dict = {}
-    for u, v in g.edges():
-        d = g.degree(u) + g.degree(v) - 2
-        key = DaEcard(canonical_form(g.remove_edge(u, v)), d)
-        entries[key] = entries.get(key, 0) + 1
-    return Deck(entries)
+    return _deck(g, True, "da-edeck")
 
 
 def min_multiplicity(g: Graph) -> int:

@@ -489,12 +489,6 @@ def _classes(candidates) -> list:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    if g.rows == h.rows:
-        return True
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
     return canonical_form(g) == canonical_form(h)
 
 
@@ -568,6 +562,5 @@ def centroid(t: Graph) -> CentroidInfo:
     cen = tuple(v for v in range(n) if weights[v] == wt)
     if len(cen) == 1:
         return CentroidInfo(tuple(weights), cen, "unicentroidal", None)
-    if len(cen) != 2 or not t.has_edge(*cen):
-        raise GraphError("centroid structure violated; input is not a tree")
+    # Jordan: a tree's centroid is one vertex or two adjacent ones
     return CentroidInfo(tuple(weights), cen, "bicentroidal", cen)

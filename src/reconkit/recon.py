@@ -157,8 +157,6 @@ def _witness_vectors(mults, k):
     if k == 0:
         yield ()
         return
-    if not mults:
-        return
     head, rest = mults[0], mults[1:]
     room = sum(rest)
     for x in list(range(1, min(head, k) + 1)) + [0]:

@@ -13,9 +13,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 
-from .caterpillar import CaterpillarSeq, seq_of
+from .caterpillar import CaterpillarSeq, reductions, seq_of
 from .decks import DaEcard, Deck, edge_deck, sub_multiset
 from .families import (
     caterpillar_graph,
@@ -201,15 +200,10 @@ def _run_sweep(scope: str, graphs, claim_name: str, store_path: str | None) -> S
         existing, _stats = store_scan(store_path)
         known = {rec.g6: rec for rec in existing}
     records = []
-    seen = set()
     computed = resumed = 0
     violations = []
     for g in graphs:
-        cert = canonical_form(g)
-        if cert in seen:
-            continue
-        seen.add(cert)
-        rec = known.get(cert.canon)
+        rec = known.get(canonical_form(g).canon)
         if rec is not None:
             resumed += 1
         else:
@@ -236,11 +230,11 @@ def _run_sweep(scope: str, graphs, claim_name: str, store_path: str | None) -> S
 
 
 def _sweep_tree_scope(
-    label: str, keep, n: int, claim: str, store_path, force: bool, limit
+    label: str, keep, n: int, claim: str, store_path, force: bool
 ) -> SweepReport:
     if n > DEFAULT_TREE_CAP and not force:
         raise GraphError(f"{label} sweep capped at n={DEFAULT_TREE_CAP}; use force")
-    graphs = islice((t for t in enumerate_trees(n) if t.m >= 1 and keep(t)), limit)
+    graphs = (t for t in enumerate_trees(n) if t.m >= 1 and keep(t))
     return _run_sweep(f"{label}s n={n}", graphs, claim, store_path)
 
 
@@ -249,10 +243,9 @@ def sweep_trees(
     claim: str,
     store_path: str | None = None,
     force: bool = False,
-    limit: int | None = None,
 ) -> SweepReport:
     """All trees on exactly n vertices."""
-    return _sweep_tree_scope("tree", lambda t: True, n, claim, store_path, force, limit)
+    return _sweep_tree_scope("tree", lambda t: True, n, claim, store_path, force)
 
 
 def sweep_caterpillars(
@@ -260,11 +253,10 @@ def sweep_caterpillars(
     claim: str,
     store_path: str | None = None,
     force: bool = False,
-    limit: int | None = None,
 ) -> SweepReport:
     """All caterpillars on exactly n vertices."""
     return _sweep_tree_scope(
-        "caterpillar", lambda t: seq_of(t) is not None, n, claim, store_path, force, limit
+        "caterpillar", lambda t: seq_of(t) is not None, n, claim, store_path, force
     )
 
 
@@ -274,7 +266,6 @@ def sweep_disconnected(
     claim: str,
     store_path: str | None = None,
     force: bool = False,
-    limit: int | None = None,
 ) -> SweepReport:
     """kH over all connected H with at most max_component vertices."""
     if k < 2:
@@ -291,7 +282,7 @@ def sweep_disconnected(
                     yield disjoint_union(k, h)
 
     scope = f"disconnected {k}H n(H)<={max_component}"
-    return _run_sweep(scope, islice(graphs(), limit), claim, store_path)
+    return _run_sweep(scope, graphs(), claim, store_path)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +300,14 @@ def identifying_cards(s: CaterpillarSeq, positions) -> tuple:
 
     Each card is the reduced caterpillar plus the detached leaf as an
     isolated vertex; the deleted edge's degree is a_i + spine_degree - 1.
+    Raises ValueError for a position that is not one of reductions(s).
     """
     a = s.a
+    valid = [r.pos for r in reductions(s)]
     cards = []
     for pos in positions:
+        if pos not in valid:
+            raise ValueError(f"position {pos!r} of <{s}> is not one of {valid}")
         reduced = a[: pos - 1] + (a[pos - 1] - 1,) + a[pos:]
         card = graph_union(caterpillar_graph(reduced), Graph.from_edges(1, []))
         d = a[pos - 1] + _spine_degree(len(a), pos) - 1

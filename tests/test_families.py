@@ -132,6 +132,9 @@ def test_family_grammar():
         parse_family_spec("X:3")
     with pytest.raises(GraphError):
         parse_family_spec("P4")
+    for spec in ("S:0", "Kpq:0,3"):
+        with pytest.raises(GraphError):
+            parse_family_spec(spec)
     for spec in ("Kpq:1,2,3", "Kpq:5", "P:3,4"):
         with pytest.raises(GraphError, match="comma-separated integers"):
             parse_family_spec(spec)

@@ -55,6 +55,20 @@ def test_rejects_loops_and_asymmetry():
         Graph(0, ())
     with pytest.raises(GraphError):
         Graph.from_edges(33, [])
+    for build in [
+        lambda: Graph(3, (0b010, 0b001)),  # two rows for three vertices
+        lambda: Graph(2, (0b110, 0b001)),  # bit 2 beyond vertex 1
+        lambda: Graph(2, (0b011, 0b001)),  # loop at vertex 0
+        lambda: Graph.from_edges(3, [(0, 3)]),
+        lambda: P(3).add_edge(1, 1),
+        lambda: P(3).add_vertex([3]),
+        lambda: P(3).permuted([0, 0, 1]),
+        lambda: P(3).induced([]),
+        lambda: P(3).induced([1, 1]),
+        lambda: P(3).induced([0, 3]),
+    ]:
+        with pytest.raises(GraphError):
+            build()
 
 
 def test_edge_ops():
@@ -256,6 +270,9 @@ def test_centroid_paths_and_stars():
     assert info.kind == "unicentroidal" and info.centroid == (2,)
     info = centroid(S(5))
     assert info.centroid == (0,) and info.weights[0] == 1
+    info = centroid(Graph.from_edges(1, []))
+    assert info.weights == (0,) and info.centroid == (0,)
+    assert info.kind == "unicentroidal" and info.centroidal_edge is None
 
 
 def test_centroid_path_parity():
@@ -300,6 +317,10 @@ def test_graph6_errors_report_offsets():
     assert exc.value.offset == 1
     with pytest.raises(Graph6Error):
         parse_graph6("~??")  # long form unsupported
+    for text in ("!", "?"):  # header byte below 63; zero vertices
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6(text)
+        assert exc.value.offset == 0
     # nonzero padding: n=2 needs 1 body byte with 5 padding bits
     with pytest.raises(Graph6Error) as exc:
         parse_graph6("A" + chr(63 + 1))

@@ -181,11 +181,19 @@ def test_sweep_detects_violations(tmp_path):
     assert [r.g6 for r in report.violations] == [canonical_form(star(3)).canon]
 
 
+def interrupted_copy(full, part, records):
+    """Write to part what a crash after the first records leaves of the
+    finished store full: its header and those records."""
+    lines = full.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[0].rstrip("\n") == STORE_HEADER
+    part.write_text("".join(lines[: 1 + records]), encoding="utf-8")
+
+
 def test_sweep_resume_matches_uninterrupted(tmp_path):
     full = tmp_path / "full.txt"
     part = tmp_path / "part.txt"
     sweep_trees(8, "dern-le-2", str(full))
-    sweep_trees(8, "dern-le-2", str(part), limit=10)  # interrupted run
+    interrupted_copy(full, part, 10)
     resumed = sweep_trees(8, "dern-le-2", str(part))
     assert resumed.resumed == 10 and resumed.computed == 13
     full_records, _ = store_scan(full)
@@ -200,7 +208,7 @@ def test_sweep_resume_after_torn_last_line(tmp_path):
     full = tmp_path / "full.txt"
     part = tmp_path / "part.txt"
     sweep_trees(8, "dern-le-2", str(full))
-    sweep_trees(8, "dern-le-2", str(part), limit=10)
+    interrupted_copy(full, part, 10)
     text = part.read_text(encoding="utf-8")
     assert text.endswith("\n")
     part.write_text(text[:-1], encoding="utf-8")
@@ -258,6 +266,24 @@ def test_caterpillar_sweep_certification():
     assert not pair_certifies(caterpillar_graph(s), cards)
 
 
+def test_identifying_cards_rejects_non_reduction_positions():
+    # <2,0,2> reduces only at its ends; position 0 once read a[-1] and
+    # built a 14-vertex card, position 9 ran past the sequence
+    s = CaterpillarSeq((2, 0, 2))
+    for positions in ((0, 3), (1, 9), (1, 2)):
+        with pytest.raises(ValueError, match=r"not one of \[1, 3\]"):
+            identifying_cards(s, positions)
+
+
+def test_sweeps_take_no_limit():
+    with pytest.raises(TypeError):
+        sweep_trees(5, "dern-le-2", None, limit=3)
+    with pytest.raises(TypeError):
+        sweep_caterpillars(5, "dern-le-2", None, limit=3)
+    with pytest.raises(TypeError):
+        sweep_disconnected(2, 3, "conj-2.1", None, limit=3)
+
+
 def test_claims_registry():
     assert set(CLAIMS) == {"dern-le-2", "ern-eq-3-census", "conj-2.1", "conj-4.1"}
 
@@ -311,6 +337,18 @@ def test_cli_sweep_exit_codes(tmp_path):
     assert out.returncode == 2  # violation found
     out = run_cli(["sweep", "--trees", "11", "--claim", "dern-le-2", "--no-store"])
     assert out.returncode == 1  # cap exceeded without --force
+    out = run_cli(["sweep", "--trees", "5", "--limit", "3", "--claim", "dern-le-2"])
+    assert out.returncode == 1 and "--limit" in out.stderr
+
+
+def test_cli_sweep_disconnected_scope(tmp_path):
+    base = ["sweep", "--claim", "conj-2.1", "--no-store", "--disconnected"]
+    out = run_cli(base + ["2:3"])
+    assert out.returncode == 0 and "records: 3 " in out.stdout
+    for bad in ("2", "2:x", "2:3:4", ":3"):
+        out = run_cli(base + [bad])
+        assert out.returncode == 1
+        assert "expected K:MAXH" in out.stderr
 
 
 def test_cli_store_roundtrip(tmp_path):
