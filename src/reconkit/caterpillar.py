@@ -149,10 +149,6 @@ def reconstruct(r1: CaterpillarSeq, r2: CaterpillarSeq) -> set:
     return found
 
 
-def _reduction_at(s: CaterpillarSeq, pos: int) -> CaterpillarSeq:
-    return CaterpillarSeq(_dec(s.a, pos - 1))
-
-
 def identifying_pair(s: CaterpillarSeq) -> tuple:
     """Two reduction positions (1-based) whose reductions reconstruct s
     uniquely.
@@ -165,24 +161,24 @@ def identifying_pair(s: CaterpillarSeq) -> tuple:
     """
     if is_path_sequence(s):
         raise ValueError("paths are handled directly, not via sequences")
-    positions = [r.pos for r in reductions(s)]
-    if len(positions) < 2:
+    by_pos = {r.pos: r.seq for r in reductions(s)}
+    if len(by_pos) < 2:
         raise ValueError("fewer than two spine-preserving reductions")
     a = s.a
     n = len(a)
 
     def singleton(i: int, j: int) -> bool:
-        return reconstruct(_reduction_at(s, i), _reduction_at(s, j)) == {s}
+        return reconstruct(by_pos[i], by_pos[j]) == {s}
 
-    if 1 in positions and n in positions:
+    if 1 in by_pos and n in by_pos:
         pair = (1, n)
         if a[0] == a[-1]:
             diffs = [k for k in range(n // 2) if a[k] != a[n - 1 - k]]
             if len(diffs) == 1 and abs(a[diffs[0]] - a[n - 1 - diffs[0]]) == 1:
                 pair = (diffs[0] + 1, n - diffs[0])
-        if pair[0] in positions and pair[1] in positions and singleton(*pair):
+        if pair[0] in by_pos and pair[1] in by_pos and singleton(*pair):
             return pair
-    for i, j in combinations(positions, 2):
+    for i, j in combinations(by_pos, 2):
         if singleton(i, j):
             return (i, j)
     raise ValueError(f"no identifying reduction pair for <{s}>")

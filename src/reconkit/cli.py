@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: deck, recon, adv, sweep, caterpillar, family, store.  Graphs
+Subcommands: deck, recon, sweep, caterpillar, family, store.  Graphs
 are given as graph6 text or family grammar (P:n, S:n, K:n, Kpq:p,q, C:n,
 U:k*<spec>, cat:a1,a2,..., spider:l1,l2,...).  The result store path comes
 from --store or the RECONKIT_STORE environment variable.  Exit codes:
@@ -63,10 +63,6 @@ def _build_parser() -> _Parser:
         default="dern",
     )
 
-    p = sub.add_parser("adv", help="adversary reconstruction number")
-    p.add_argument("graph")
-    p.add_argument("--da", action="store_true")
-
     p = sub.add_parser("sweep", help="evaluate a claim over a family")
     scope = p.add_mutually_exclusive_group(required=True)
     scope.add_argument("--trees", type=int, metavar="N")
@@ -125,30 +121,21 @@ _NUMBERS = {
 }
 
 
-def _print_number(g, name: str) -> None:
-    number, da = _NUMBERS[name]
-    print(f"graph: {canonical_form(g).canon}  n={g.n} m={g.m}")
-    result = number(g, da=da)
-    print(f"{name} = {_num(result.value)}")
-    print(f"witness: {format_witness(result.witness)}")
-    print(f"max shared with a blocker: {result.max_shared}")
-    if result.blocker_example is not None:
-        print(f"blocker example: {write_graph6(result.blocker_example)}")
-
-
 def _cmd_recon(args) -> int:
     g = resolve_graph_input(args.graph)
     t0 = time.perf_counter()
     if args.which == "all":
         print(format_record(evaluate_graph(g)))
         return 0
-    _print_number(g, args.which)
+    number, da = _NUMBERS[args.which]
+    print(f"graph: {canonical_form(g).canon}  n={g.n} m={g.m}")
+    result = number(g, da=da)
+    print(f"{args.which} = {_num(result.value)}")
+    print(f"witness: {format_witness(result.witness)}")
+    print(f"max shared with a blocker: {result.max_shared}")
+    if result.blocker_example is not None:
+        print(f"blocker example: {write_graph6(result.blocker_example)}")
     print(f"elapsed: {int((time.perf_counter() - t0) * 1000)} ms")
-    return 0
-
-
-def _cmd_adv(args) -> int:
-    _print_number(resolve_graph_input(args.graph), "adv-dern" if args.da else "adv-ern")
     return 0
 
 
@@ -216,7 +203,6 @@ def _cmd_store(args) -> int:
 _COMMANDS = {
     "deck": _cmd_deck,
     "recon": _cmd_recon,
-    "adv": _cmd_adv,
     "sweep": _cmd_sweep,
     "caterpillar": _cmd_caterpillar,
     "family": _cmd_family,

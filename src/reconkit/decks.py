@@ -78,9 +78,9 @@ class Deck:
         return f"Deck({{{inner}}})"
 
 
-def _deck(g: Graph, da: bool, name: str) -> Deck:
+def _deck(g: Graph, da: bool) -> Deck:
     if g.m < 1:
-        raise GraphError(f"{name} of an edgeless graph")
+        raise GraphError(f"{'da-edeck' if da else 'edge-deck'} of an edgeless graph")
     entries: dict = {}
     for u, v in g.edges():
         key = canonical_form(g.remove_edge(u, v))
@@ -92,12 +92,12 @@ def _deck(g: Graph, da: bool, name: str) -> Deck:
 
 def edge_deck(g: Graph) -> Deck:
     """Multiset of certificates of G - e over all edges e."""
-    return _deck(g, False, "edge-deck")
+    return _deck(g, False)
 
 
 def da_edeck(g: Graph) -> Deck:
     """Multiset of (certificate of G - e, d(e)) pairs over all edges e."""
-    return _deck(g, True, "da-edeck")
+    return _deck(g, True)
 
 
 def min_multiplicity(g: Graph) -> int:

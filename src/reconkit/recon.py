@@ -89,7 +89,7 @@ def determines(card: Graph, d: int, origin: Graph) -> bool:
     determines origin exactly when it has one extension.
     """
     key = DaEcard(canonical_form(card), d)
-    if key not in da_edeck(origin):
+    if key not in _deck_of_cert(canonical_form(origin), True):
         raise GraphError("(card, d) is not a da-ecard of origin")
     return len(extensions(card, d)) == 1
 
@@ -97,8 +97,6 @@ def determines(card: Graph, d: int, origin: Graph) -> bool:
 def blockers(g: Graph, da: bool) -> list:
     """Every H (up to isomorphism, H != G) sharing at least one (da-)ecard
     with g.  Complete: a shared card C forces H = C plus one edge."""
-    if g.m < 1:
-        raise GraphError("blockers of an edgeless graph")
     return [certificate_graph(c) for c in _context(canonical_form(g), da)[1]]
 
 
@@ -110,12 +108,13 @@ def _deck_of_cert(cert: Certificate, da: bool) -> Deck:
 
 @lru_cache(maxsize=4096)
 def _context(gcert: Certificate, da: bool):
-    """The class's (da-)edeck, its blockers' certificates in increasing
-    order with their decks, and the largest overlap between its deck and a
-    blocker's, with the certificate of the first blocker reaching it.
-    Keyed by certificate, so every labeling of a graph shares one context.
-    Blockers stay certificates: only _deck_of_cert decodes one, to build
-    its deck."""
+    """The class's (da-)edeck, a dict from each blocker's certificate to
+    its deck in increasing certificate order, and the largest overlap
+    between the class's deck and a blocker's, with the certificate of the
+    first blocker reaching it.  Keyed by certificate, so every labeling of
+    a graph shares one context.  Blockers stay certificates: only
+    _deck_of_cert decodes one, to build its deck.  Raises GraphError, from
+    the deck, for an edgeless class."""
     deck = _deck_of_cert(gcert, da)
     found = set()
     for key in deck.keys():
@@ -125,20 +124,14 @@ def _context(gcert: Certificate, da: bool):
             card, d = certificate_graph(key), None
         found.update(extensions(card, d))
     found.discard(gcert)
-    blist = tuple(sorted(found))
-    bdecks = tuple(_deck_of_cert(c, da) for c in blist)
+    bdecks = {c: _deck_of_cert(c, da) for c in sorted(found)}
     max_shared = 0
     example = None
-    for c, bd in zip(blist, bdecks):
+    for c, bd in bdecks.items():
         shared = intersection_size(deck, bd)
         if shared > max_shared:
             max_shared, example = shared, c
-    return deck, blist, bdecks, max_shared, example
-
-
-def _decoded(cert: Certificate | None) -> Graph | None:
-    """The canonical graph of a blocker certificate, for blocker_example."""
-    return None if cert is None else certificate_graph(cert)
+    return deck, bdecks, max_shared, example
 
 
 def blocked(g: Graph, cards: Deck, da: bool) -> bool:
@@ -148,7 +141,8 @@ def blocked(g: Graph, cards: Deck, da: bool) -> bool:
     blocker decks are cached per isomorphism class, so repeated queries are
     cheap.
     """
-    return any(sub_multiset(cards, bd) for bd in _context(canonical_form(g), da)[2])
+    bdecks = _context(canonical_form(g), da)[1]
+    return any(sub_multiset(cards, bd) for bd in bdecks.values())
 
 
 def _witness_vectors(mults, k):
@@ -169,10 +163,8 @@ def _witness_vectors(mults, k):
 def recon_number(g: Graph, da: bool = False) -> ReconResult:
     """Smallest k such that some k-sub-multiset of the (da-)edeck of g is
     contained in no blocker's deck (ern for da=False, dern for da=True)."""
-    if g.m < 1:
-        raise GraphError("reconstruction number of an edgeless graph")
-    deck, _blist, _bdecks, max_shared, example = _context(canonical_form(g), da)
-    example = _decoded(example)
+    deck, _bdecks, max_shared, example = _context(canonical_form(g), da)
+    example = None if example is None else certificate_graph(example)
     if max_shared == deck.total:
         return ReconResult(None, (), max_shared, example)
     keys = deck.keys()
@@ -188,20 +180,16 @@ def recon_number(g: Graph, da: bool = False) -> ReconResult:
 def adv_recon_number(g: Graph, da: bool = False) -> ReconResult:
     """Least k such that every k-sub-multiset of the deck is unblocked:
     1 + the largest deck intersection with any blocker."""
-    if g.m < 1:
-        raise GraphError("reconstruction number of an edgeless graph")
-    deck, blist, bdecks, max_shared, example = _context(canonical_form(g), da)
+    deck, bdecks, max_shared, example = _context(canonical_form(g), da)
+    if example is None:
+        return ReconResult(max_shared + 1, (), max_shared, None)
+    bd = bdecks[example]
+    example = certificate_graph(example)
     if max_shared >= deck.total:
-        return ReconResult(None, (), max_shared, _decoded(example))
-    witness = ()
-    if example is not None:
-        bd = bdecks[blist.index(example)]
-        witness = tuple(
-            (key, min(m, bd.mult(key)))
-            for key, m in deck.items()
-            if min(m, bd.mult(key)) > 0
-        )
-    return ReconResult(max_shared + 1, witness, max_shared, _decoded(example))
+        return ReconResult(None, (), max_shared, example)
+    overlap = ((key, min(m, bd.mult(key))) for key, m in deck.items())
+    witness = tuple((key, x) for key, x in overlap if x)
+    return ReconResult(max_shared + 1, witness, max_shared, example)
 
 
 def is_tree_from_two_cards(c1: Graph, c2: Graph) -> str:

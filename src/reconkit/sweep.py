@@ -17,14 +17,22 @@ from dataclasses import dataclass
 from .caterpillar import CaterpillarSeq, reductions, seq_of
 from .decks import DaEcard, Deck, edge_deck, sub_multiset
 from .families import (
+    MAX_GRAPH_N,
+    MAX_TREE_N,
     caterpillar_graph,
     disjoint_union,
     enumerate_graphs,
     enumerate_trees,
-    graph_union,
     parse_family_spec,
 )
-from .graphs import Graph, GraphError, _component_masks, canonical_form
+from .graphs import (
+    Graph,
+    GraphError,
+    _component_masks,
+    _require_size,
+    canonical_form,
+    edge_degree,
+)
 from .recon import (
     _deck_of_cert,
     _isomorphic_components,
@@ -232,9 +240,11 @@ def _run_sweep(scope: str, graphs, claim_name: str, store_path: str | None) -> S
 def _sweep_tree_scope(
     label: str, keep, n: int, claim: str, store_path, force: bool
 ) -> SweepReport:
+    if not 2 <= n <= MAX_TREE_N:
+        raise GraphError(f"{label} sweep needs 2 <= n <= {MAX_TREE_N}, got {n}")
     if n > DEFAULT_TREE_CAP and not force:
         raise GraphError(f"{label} sweep capped at n={DEFAULT_TREE_CAP}; use force")
-    graphs = (t for t in enumerate_trees(n) if t.m >= 1 and keep(t))
+    graphs = filter(keep, enumerate_trees(n))
     return _run_sweep(f"{label}s n={n}", graphs, claim, store_path)
 
 
@@ -270,6 +280,11 @@ def sweep_disconnected(
     """kH over all connected H with at most max_component vertices."""
     if k < 2:
         raise GraphError("disconnected sweep needs k >= 2 copies")
+    if not 2 <= max_component <= MAX_GRAPH_N:
+        raise GraphError(
+            f"disconnected sweep needs 2 <= n(H) <= {MAX_GRAPH_N}, got {max_component}"
+        )
+    _require_size(k * max_component)
     if k * max_component > DEFAULT_UNION_CAP and not force:
         raise GraphError(
             f"union sweep capped at {DEFAULT_UNION_CAP} vertices; use force"
@@ -278,7 +293,7 @@ def sweep_disconnected(
     def graphs():
         for nh in range(2, max_component + 1):
             for h in enumerate_graphs(nh):
-                if h.m >= 1 and len(_component_masks(h)) == 1:
+                if len(_component_masks(h)) == 1:
                     yield disjoint_union(k, h)
 
     scope = f"disconnected {k}H n(H)<={max_component}"
@@ -289,29 +304,22 @@ def sweep_disconnected(
 # Certifying caterpillars from their identifying reduction pair
 # ---------------------------------------------------------------------------
 
-def _spine_degree(n: int, pos: int) -> int:
-    if n == 1:
-        return 0
-    return 1 if pos in (1, n) else 2
-
-
 def identifying_cards(s: CaterpillarSeq, positions) -> tuple:
-    """The da-ecards produced by deleting one leaf at each given position.
-
-    Each card is the reduced caterpillar plus the detached leaf as an
-    isolated vertex; the deleted edge's degree is a_i + spine_degree - 1.
-    Raises ValueError for a position that is not one of reductions(s).
+    """The da-ecards of caterpillar_graph(s) that delete one leaf at each
+    given position: the edge from spine vertex pos - 1 to its first leaf,
+    with that edge's degree (leaves are numbered after the spine, in spine
+    order).  Raises ValueError for a position that is not one of
+    reductions(s).
     """
     a = s.a
     valid = [r.pos for r in reductions(s)]
+    g = caterpillar_graph(s)
     cards = []
     for pos in positions:
         if pos not in valid:
             raise ValueError(f"position {pos!r} of <{s}> is not one of {valid}")
-        reduced = a[: pos - 1] + (a[pos - 1] - 1,) + a[pos:]
-        card = graph_union(caterpillar_graph(reduced), Graph.from_edges(1, []))
-        d = a[pos - 1] + _spine_degree(len(a), pos) - 1
-        cards.append(DaEcard(canonical_form(card), d))
+        e = (pos - 1, len(a) + sum(a[: pos - 1]))
+        cards.append(DaEcard(canonical_form(g.remove_edge(*e)), edge_degree(g, e)))
     return tuple(cards)
 
 

@@ -246,8 +246,17 @@ def test_recon_number_examples():
 
 
 def test_recon_number_rejects_edgeless():
-    with pytest.raises(GraphError):
-        recon_number(Graph.from_edges(3, []))
+    empty = Graph.from_edges(3, [])
+    for da in (False, True):
+        deck = "da-edeck" if da else "edge-deck"
+        for call in (
+            lambda: recon_number(empty, da),
+            lambda: adv_recon_number(empty, da),
+            lambda: blockers(empty, da),
+            lambda: blocked(empty, Deck({}), da),
+        ):
+            with pytest.raises(GraphError, match=f"^{deck} of an edgeless graph$"):
+                call()
 
 
 def test_single_edge_graphs_allowed():

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -26,6 +27,7 @@ from reconkit.store import (
     store_append,
     store_scan,
 )
+from reconkit import sweep as sweep_module
 from reconkit.sweep import (
     CLAIMS,
     evaluate_graph,
@@ -284,6 +286,35 @@ def test_sweeps_take_no_limit():
         sweep_disconnected(2, 3, "conj-2.1", None, limit=3)
 
 
+def test_empty_sweep_scopes_rejected_before_store(tmp_path):
+    # the store's header is wrong, so reading it would raise another error
+    store = tmp_path / "store.txt"
+    store.write_text("not a store header\n")
+    for run, bad, bound in (
+        (sweep_trees, 1, "2 <= n <= 12"),
+        (sweep_trees, 0, "2 <= n <= 12"),
+        (sweep_caterpillars, 1, "2 <= n <= 12"),
+        (lambda n, *rest: sweep_disconnected(2, n, *rest), 1, "2 <= n(H) <= 8"),
+    ):
+        with pytest.raises(GraphError, match=f"needs {re.escape(bound)}, got {bad}"):
+            run(bad, "dern-le-2", str(store))
+
+
+def test_oversized_union_scopes_rejected_before_evaluation(monkeypatch):
+    evaluated = []
+
+    def counter(g):
+        evaluated.append(g)
+        raise AssertionError("evaluated a graph of an oversized scope")
+
+    monkeypatch.setattr(sweep_module, "evaluate_graph", counter)
+    with pytest.raises(GraphError, match=r"2 <= n\(H\) <= 8, got 9"):
+        sweep_disconnected(2, 9, "conj-2.1", None, force=True)
+    with pytest.raises(GraphError, match=f"vertex count must be in 1..{MAX_VERTICES}, got 35"):
+        sweep_disconnected(5, 7, "conj-2.1", None, force=True)
+    assert evaluated == []
+
+
 def test_claims_registry():
     assert set(CLAIMS) == {"dern-le-2", "ern-eq-3-census", "conj-2.1", "conj-4.1"}
 
@@ -317,8 +348,10 @@ def test_cli_deck_and_recon():
     assert "dern = 3" in out.stdout
     out = run_cli(["recon", "spider:2,2,2", "--which=dern"])
     assert "dern = 2" in out.stdout
-    out = run_cli(["adv", "K:4", "--da"])
+    out = run_cli(["recon", "K:4", "--which=adv-dern"])
     assert "adv-dern = 1" in out.stdout
+    out = run_cli(["adv", "K:4", "--da"])
+    assert out.returncode == 1 and "invalid choice: 'adv'" in out.stderr
 
 
 def test_cli_caterpillar():
@@ -349,6 +382,16 @@ def test_cli_sweep_disconnected_scope(tmp_path):
         out = run_cli(base + [bad])
         assert out.returncode == 1
         assert "expected K:MAXH" in out.stderr
+
+
+def test_cli_empty_sweep_scopes_exit_1():
+    for scope in (["--trees", "1"], ["--trees", "0"], ["--caterpillars", "1"]):
+        out = run_cli(["sweep", *scope, "--claim", "dern-le-2", "--no-store"])
+        assert out.returncode == 1, scope
+        assert f"needs 2 <= n <= 12, got {scope[1]}" in out.stderr
+        assert "records:" not in out.stdout
+    out = run_cli(["sweep", "--disconnected", "2:1", "--claim", "conj-2.1", "--no-store"])
+    assert out.returncode == 1 and "needs 2 <= n(H) <= 8, got 1" in out.stderr
 
 
 def test_cli_store_roundtrip(tmp_path):
