@@ -385,54 +385,73 @@ def _leaf_code(rows, order) -> int:
     return code
 
 
-def _least_leaf_code(g: Graph) -> int:
-    """Individualization-refinement search: the least leaf code.
+def _least_leaf_code(g: Graph) -> tuple:
+    """Individualization-refinement search: the least leaf code, the first
+    path, the automorphisms found at leaves and the skipped twin pairs.
 
     The root is the equitable refinement of the unit partition.  A node's
     children individualize each vertex v of its first non-singleton cell:
     {v} goes before the rest of the cell and refinement runs with {v} as
     the only splitter.  A leaf is a discrete partition, read as a vertex
-    order.  A child is skipped when it is a twin of an explored sibling
-    (equal open or closed neighbourhood), or in an explored sibling's orbit
-    under the automorphisms found so far that fix the node's individualized
-    vertices; an automorphism comes from each leaf whose code equals the
-    best, and the search then returns to where that leaf's path left the
-    best leaf's, since the subtree it is in maps onto one already explored.
-    Skipped subtrees are images of explored ones, so the least code over
-    all leaves is found.
+    order; the first path is the individualized vertices of the first leaf.
+    A child is skipped when it is a twin of an explored sibling (equal open
+    or closed neighbourhood, so the pair's transposition is an
+    automorphism), or in an explored sibling's orbit under the leaf
+    automorphisms found so far that fix the node's individualized
+    vertices.  A leaf whose code equals the best's or the first leaf's
+    gives an automorphism, and the search then returns to where that
+    leaf's path left the other's, since the subtree it is in maps onto one
+    already explored.  Skipped subtrees are images of explored ones, so the
+    least code over all leaves is found, and the leaf automorphisms with
+    the twin transpositions generate Aut(g) with the first path as a base
+    (McKay & Piperno 2014): see ``_aut``.  Twin pairs stay pairs here, so
+    a caller that needs only the code builds no permutation for them.
     """
     n, rows = g.n, g.rows
     order = list(range(n))
     end = [n] * n
     _refine(rows, order, end, [0])
     best_code = best_order = best_path = None
+    first_code = first_order = first_path = None
     autos = []
+    twins = []
 
     def dfs(order, end, path) -> int:
         # Returns the depth the search unwinds to.
-        nonlocal best_code, best_order, best_path
+        nonlocal best_code, best_order, best_path, first_code, first_order, first_path
         depth = len(path)
         c = 0
         while c < n and end[c] - c == 1:
             c += 1
         if c == n:
             code = _leaf_code(rows, order)
+            if best_code is None:
+                first_code, first_order, first_path = code, order, path
             if best_code is None or code < best_code:
                 best_code, best_order, best_path = code, order, path
-            elif code == best_code:
-                auto = [0] * n
-                for v, w in zip(order, best_order):
-                    auto[v] = w
-                autos.append(auto)
-                return next(i for i, (v, w) in enumerate(zip(path, best_path)) if v != w)
-            return depth
+                return depth
+            if code == best_code:
+                other_order, other_path = best_order, best_path
+            elif code == first_code:
+                other_order, other_path = first_order, first_path
+            else:
+                return depth
+            auto = [0] * n
+            for v, w in zip(order, other_order):
+                auto[v] = w
+            autos.append(auto)
+            return next(i for i, (v, w) in enumerate(zip(path, other_path)) if v != w)
         e = end[c]
         tried = []
         for v in sorted(order[c:e]):
             row = rows[v]
-            if any(row == rows[u] or row | 1 << v == rows[u] | 1 << u for u in tried):
-                continue  # a twin of an explored sibling
-            if tried and v in _orbit(autos, path, tried):
+            twin = False
+            for u in tried:
+                if row == rows[u] or row | 1 << v == rows[u] | 1 << u:
+                    twins.append((u, v))
+                    twin = True
+                    break
+            if twin or (tried and v in _orbit(autos, path, tried)):
                 continue
             tried.append(v)
             o, en = order[:], end[:]
@@ -446,7 +465,7 @@ def _least_leaf_code(g: Graph) -> int:
         return depth
 
     dfs(order, end, [])
-    return best_code
+    return best_code, first_path, autos, twins
 
 
 def _orbit(autos, fixed, seeds) -> set:
@@ -468,7 +487,28 @@ def _orbit(autos, fixed, seeds) -> set:
 def canonical_form(g: Graph) -> Certificate:
     """Certificate of g; equal across all relabelings, distinct across
     non-isomorphic graphs."""
-    return Certificate(g.n, g.m, _least_leaf_code(g))
+    return Certificate(g.n, g.m, _least_leaf_code(g)[0])
+
+
+@lru_cache(maxsize=1 << 16)
+def _aut(cert: Certificate) -> tuple:
+    """|Aut| of the canonical graph of cert and generators of the group, as
+    permutations of that graph's own vertices (bytes: n <= 32).
+
+    The generators that fix the first k vertices of the first path
+    generate their pointwise stabilizer, so the order is the product over
+    the path of the orbit of each vertex under the generators that fix the
+    vertices before it (McKay & Piperno 2014).
+    """
+    _code, path, autos, twins = _least_leaf_code(certificate_graph(cert))
+    for u, v in twins:
+        swap = list(range(cert.n))
+        swap[u], swap[v] = v, u
+        autos.append(swap)
+    order = 1
+    for k, v in enumerate(path):
+        order *= len(_orbit(autos, path[:k], [v]))
+    return order, tuple(dict.fromkeys(map(bytes, autos)))
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -4,9 +4,14 @@ A blocker for a collection of (da-)ecards of G is a graph H, not isomorphic
 to G, whose own deck contains the collection.  Because cards keep all
 vertices, any graph sharing a card C with G is C plus one edge, so scanning
 single-edge extensions of the deck's cards enumerates every possible
-blocker.  The minimum variants (ern, dern) find the smallest sub-multiset of
-the deck contained in no blocker's deck; the adversary variants equal one
-plus the largest overlap between G's deck and a blocker's.
+blocker.  Counting the pairs (edge e of H, isomorphism H - e -> C) two ways
+gives H's multiplicity on C without building H's deck:
+
+    m_H(C, d) = #{non-edges f of C of degree d : C + f = H} * |Aut H| / |Aut C|
+
+The minimum variants (ern, dern) find the smallest sub-multiset of the deck
+contained in no blocker's deck; the adversary variants equal one plus the
+largest overlap between G's deck and a blocker's.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .decks import (
     Deck,
     da_edeck,
     edge_deck,
-    intersection_size,
     min_multiplicity,
     sub_multiset,
 )
@@ -28,7 +32,7 @@ from .graphs import (
     Certificate,
     Graph,
     GraphError,
-    _classes,
+    _aut,
     canonical_form,
     certificate_graph,
     components,
@@ -70,23 +74,48 @@ class ReconResult:
         return self.value is None
 
 
-def extensions(card: Graph, d: int | None = None) -> list:
-    """The certificates of all graphs card+uv over non-adjacent pairs u,v,
-    each class once, in increasing order; with d given, only pairs whose
-    degrees sum to d, so the new edge has degree d in the extension."""
-    degs = card.degrees()
-    return _classes(
-        card.add_edge(u, v)
-        for u, v in combinations(range(card.n), 2)
-        if not card.has_edge(u, v) and (d is None or degs[u] + degs[v] == d)
-    )
+def extensions(card: Graph, d: int | None = None) -> Deck:
+    """The classes of the graphs card+uv over non-adjacent pairs u,v: a Deck
+    from each class's certificate to its number of pairs, in increasing
+    certificate order.  With d given, only pairs whose degrees sum to d, so
+    the new edge has degree d in the extension.
+
+    The pairs are read on card's canonical graph, one per orbit of its
+    automorphism group, weighted by the orbit's size (McKay, Isomorph-free
+    exhaustive generation, 1998): the pairs of an orbit give isomorphic
+    graphs, so only one of them is labeled.
+    """
+    cert = canonical_form(card)
+    c = certificate_graph(cert)
+    gens = _aut(cert)[1]
+    degs = c.degrees()
+    seen = set()
+    counts: dict = {}
+    for pair in combinations(range(c.n), 2):
+        u, v = pair
+        if pair in seen or c.has_edge(u, v) or (d is not None and degs[u] + degs[v] != d):
+            continue
+        orbit = {pair}
+        todo = [pair]
+        while todo:
+            u, v = todo.pop()
+            for gen in gens:
+                a, b = gen[u], gen[v]
+                image = (a, b) if a < b else (b, a)
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        seen |= orbit
+        key = canonical_form(c.add_edge(*pair))
+        counts[key] = counts.get(key, 0) + len(orbit)
+    return Deck(sorted(counts.items()))
 
 
 def determines(card: Graph, d: int, origin: Graph) -> bool:
     """Does the single da-ecard (card, d) pin down origin uniquely?
 
-    The extensions are deduplicated and always include origin, so the card
-    determines origin exactly when it has one extension.
+    The extensions are grouped by class and always include origin, so the
+    card determines origin exactly when it has one class of extension.
     """
     key = DaEcard(canonical_form(card), d)
     if key not in _deck_of_cert(canonical_form(origin), True):
@@ -109,28 +138,40 @@ def _deck_of_cert(cert: Certificate, da: bool) -> Deck:
 @lru_cache(maxsize=4096)
 def _context(gcert: Certificate, da: bool):
     """The class's (da-)edeck, a dict from each blocker's certificate to
-    its deck in increasing certificate order, and the largest overlap
-    between the class's deck and a blocker's, with the certificate of the
-    first blocker reaching it.  Keyed by certificate, so every labeling of
-    a graph shares one context.  Blockers stay certificates: only
-    _deck_of_cert decodes one, to build its deck.  Raises GraphError, from
-    the deck, for an edgeless class."""
+    its multiplicities on the class's own deck keys, in increasing
+    certificate order, and the largest overlap between the class's deck
+    and a blocker's, with the certificate of the first blocker reaching
+    it.  The multiplicities come from the extension scan by double
+    counting (see the module docstring); no blocker's deck is built.
+    Keyed by certificate, so every labeling of a graph shares one context.
+    Raises GraphError, from the deck, for an edgeless class."""
     deck = _deck_of_cert(gcert, da)
-    found = set()
+    mults: dict = {}
     for key in deck.keys():
-        if da:
-            card, d = certificate_graph(key.card), key.d
-        else:
-            card, d = certificate_graph(key), None
-        found.update(extensions(card, d))
-    found.discard(gcert)
-    bdecks = {c: _deck_of_cert(c, da) for c in sorted(found)}
+        card, d = (key.card, key.d) if da else (key, None)
+        card_order = _aut(card)[0]
+        for h, f in extensions(certificate_graph(card), d).items():
+            if h == gcert:
+                continue
+            m, rest = divmod(f * _aut(h)[0], card_order)
+            if rest:
+                raise ArithmeticError(
+                    f"{f} * |Aut {h.canon}| is not divisible by |Aut {card.canon}|"
+                    f" = {card_order}: a group order is wrong"
+                )
+            mults.setdefault(h, {})[key] = m
+    bdecks: dict = {}
+    shapes: dict = {}  # blockers with equal multiplicities share one Deck
     max_shared = 0
     example = None
-    for c, bd in bdecks.items():
-        shared = intersection_size(deck, bd)
+    for h in sorted(mults):
+        shape = tuple(mults[h].items())  # in deck key order
+        if shape not in shapes:
+            shapes[shape] = Deck(shape)
+        bdecks[h] = shapes[shape]
+        shared = sum(min(m, deck.mult(key)) for key, m in shape)
         if shared > max_shared:
-            max_shared, example = shared, c
+            max_shared, example = shared, h
     return deck, bdecks, max_shared, example
 
 
@@ -138,10 +179,14 @@ def blocked(g: Graph, cards: Deck, da: bool) -> bool:
     """Does some blocker's (da-)edeck contain the multiset of cards?
 
     Keys are DaEcard for da=True and plain certificates otherwise.  The
-    blocker decks are cached per isomorphism class, so repeated queries are
-    cheap.
+    cards must be a sub-multiset of g's own deck, since blocker
+    multiplicities are known only on g's keys; ValueError otherwise.  The
+    multiplicities are cached per isomorphism class, so repeated queries
+    are cheap.
     """
-    bdecks = _context(canonical_form(g), da)[1]
+    deck, bdecks = _context(canonical_form(g), da)[:2]
+    if not sub_multiset(cards, deck):
+        raise ValueError("cards are not a sub-multiset of the graph's own deck")
     return any(sub_multiset(cards, bd) for bd in bdecks.values())
 
 

@@ -1,13 +1,13 @@
 """Independent brute-force oracles used to derive expected test values.
 
-Nothing here touches the package's canonical labeling: isomorphism is
-decided by trying every vertex permutation that preserves degrees, and free
-trees are counted by decoding every Prufer sequence and hashing an AHU-style
-rooted code at the tree's center.  Deck facts are decided from labeled
-cards: a card of a graph on the same vertex set is that graph minus one
-edge, so a graph with card C is C plus one edge.  The four reconstruction
-numbers follow from those facts alone (``ern``, ``dern``, ``adv_ern``,
-``adv_dern``).
+Nothing here touches the package's canonical labeling: isomorphism and
+automorphism counts are decided by trying every vertex permutation that
+preserves degrees, and free trees are counted by decoding every Prufer
+sequence and hashing an AHU-style rooted code at the tree's center.  Deck
+facts are decided from labeled cards: a card of a graph on the same vertex
+set is that graph minus one edge, so a graph with card C is C plus one
+edge.  The four reconstruction numbers follow from those facts alone
+(``ern``, ``dern``, ``adv_ern``, ``adv_dern``).
 """
 
 from __future__ import annotations
@@ -18,14 +18,16 @@ from itertools import combinations, permutations, product
 from reconkit import Graph
 
 
-def exhaustive_isomorphic(g: Graph, h: Graph) -> bool:
-    """Try every bijection that maps each vertex of g to a vertex of h of
-    the same degree; any isomorphism is one of them."""
+def _isomorphisms(g: Graph, h: Graph):
+    """Every isomorphism from g to h, as a list perm with g's vertex u
+    mapped to perm[u]: each bijection that maps each vertex of g to a
+    vertex of h of the same degree is tried, and any isomorphism is one
+    of them."""
     if g.n != h.n or g.m != h.m:
-        return False
+        return
     gdeg, hdeg = g.degrees(), h.degrees()
     if sorted(gdeg) != sorted(hdeg):
-        return False
+        return
     degrees = sorted(set(gdeg))
     sources = [[v for v in range(g.n) if gdeg[v] == k] for k in degrees]
     images = [[v for v in range(h.n) if hdeg[v] == k] for k in degrees]
@@ -36,15 +38,17 @@ def exhaustive_isomorphic(g: Graph, h: Graph) -> bool:
         for src, img in zip(sources, choice):
             for u, v in zip(src, img):
                 perm[u] = v
-        ok = True
-        for u, v in gedges:
-            a, b = perm[u], perm[v]
-            if (a, b) not in target and (b, a) not in target:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+        if all((perm[u], perm[v]) in target or (perm[v], perm[u]) in target for u, v in gedges):
+            yield list(perm)
+
+
+def exhaustive_isomorphic(g: Graph, h: Graph) -> bool:
+    return any(True for _ in _isomorphisms(g, h))
+
+
+def automorphism_count(g: Graph) -> int:
+    """|Aut(g)|, counted over the degree-preserving vertex permutations."""
+    return sum(1 for _ in _isomorphisms(g, g))
 
 
 def da_ecards(g: Graph) -> list:

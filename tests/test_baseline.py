@@ -1,0 +1,63 @@
+"""The behaviour baseline: one SHA-256 over every answer the blocker search
+gives on a fixed set of small graphs.
+
+The digest was computed before blocker multiplicities came from double
+counting, with every blocker's deck built in full.  A refactor of the
+labeler or of the blocker search that changes any number, witness,
+``max_shared``, blocker example or blocker list changes the digest.
+"""
+
+import hashlib
+
+from reconkit import (
+    DaEcard,
+    adv_recon_number,
+    blockers,
+    canonical_form,
+    enumerate_graphs,
+    enumerate_trees,
+    recon_number,
+)
+
+BASELINE_SHA256 = "86e4bdd98e736998cf94b16af8706f2a10442a718e6fadcf184c7c82b860bcf1"
+
+
+def _key_text(key) -> str:
+    if isinstance(key, DaEcard):
+        return f"{key.card.canon}/{key.d}"
+    return key.canon
+
+
+def _result_text(res) -> str:
+    witness = ",".join(f"{_key_text(key)}*{x}" for key, x in res.witness)
+    example = "-" if res.blocker_example is None else canonical_form(res.blocker_example).canon
+    return f"{res.value} [{witness}] {res.max_shared} {example}"
+
+
+def baseline_lines():
+    """One line per (graph, da): the canonical graph6, both results and
+    the sorted blockers; every graph with n <= 6 and an edge, then every
+    tree with 7 <= n <= 9."""
+    graphs = [g for n in range(2, 7) for g in enumerate_graphs(n) if g.m >= 1]
+    graphs += [t for n in range(7, 10) for t in enumerate_trees(n)]
+    for g in graphs:
+        canon = canonical_form(g).canon
+        for da in (False, True):
+            blks = sorted(canonical_form(h).canon for h in blockers(g, da))
+            yield " ".join([
+                canon,
+                str(int(da)),
+                _result_text(recon_number(g, da)),
+                _result_text(adv_recon_number(g, da)),
+                ",".join(blks),
+            ])
+
+
+def test_behaviour_matches_baseline():
+    digest = hashlib.sha256()
+    count = 0
+    for line in baseline_lines():
+        digest.update(line.encode() + b"\n")
+        count += 1
+    assert count == 2 * (1 + 3 + 10 + 33 + 155 + 11 + 23 + 47)
+    assert digest.hexdigest() == BASELINE_SHA256

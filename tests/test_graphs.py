@@ -1,10 +1,16 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_isomorphic, iso_classes_by_permutation, labeled_graphs
+from oracles import (
+    automorphism_count,
+    exhaustive_isomorphic,
+    iso_classes_by_permutation,
+    labeled_graphs,
+)
 from reconkit import (
     Graph,
     Graph6Error,
@@ -20,9 +26,11 @@ from reconkit import (
     edge_degree,
     enumerate_graphs,
     is_isomorphic,
+    parse_family_spec,
     parse_graph6,
     write_graph6,
 )
+from reconkit.graphs import _aut
 
 
 def P(n):
@@ -169,6 +177,43 @@ def test_symmetric_ladder_certificates():
             rng.shuffle(perm)
             assert canonical_form(g.permuted(perm)) == c
         assert canonical_form(certificate_graph(c)) == c
+
+
+def relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.permuted(perm)
+
+
+def test_automorphism_group_matches_permutation_oracle_n7():
+    # every graph on at most 7 vertices, under a seeded relabeling: the
+    # order is the oracle's count and every generator is an automorphism
+    # of the canonical graph, in its own labels
+    rng = random.Random(3)
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    assert len(graphs) == 1252
+    for g in graphs:
+        cert = canonical_form(relabeled(g, rng))
+        order, gens = _aut(cert)
+        assert order == automorphism_count(g), g
+        canon = certificate_graph(cert)
+        for gen in gens:
+            assert sorted(gen) == list(range(g.n))
+            assert canon.permuted(list(gen)) == canon
+
+
+def test_automorphism_group_closed_forms():
+    rng = random.Random(9)
+    ladder = [(cycle(n), 2 * n) for n in range(3, 14)]
+    ladder += [(disjoint_union(k, S(3)), 6**k * math.factorial(k)) for k in range(1, 9)]
+    ladder += [
+        (K(12), math.factorial(12)),
+        (parse_family_spec("S:31"), math.factorial(31)),
+        (parse_family_spec("U:16*K:2"), 2**16 * math.factorial(16)),
+        (cube(5), 3840),
+    ]
+    for g, order in ladder:
+        assert _aut(canonical_form(relabeled(g, rng)))[0] == order, g
 
 
 def test_regular_look_alikes_have_distinct_certificates():

@@ -51,13 +51,13 @@ def test_extensions_of_star_card():
         canonical_form(star(3)),
         canonical_form(graph_union(complete(3), K1)),
     }
-    assert exts == sorted(expected)
+    assert exts.keys() == sorted(expected)
 
 
 def test_extensions_on_triangle_card():
     # the only non-adjacent pair of P_3 closes the triangle
     exts = extensions(P(3), 2)
-    assert exts == [canonical_form(complete(3))]
+    assert exts.keys() == [canonical_form(complete(3))]
     assert extensions(P(3)) == exts
 
 
@@ -72,8 +72,8 @@ def test_extensions_degree_two_without_isolates_joins_endvertices():
 
 def test_extensions_degree_zero_needs_isolates():
     card = graph_union(P(3), K1, K1)
-    assert extensions(card, 0) == [canonical_form(graph_union(P(3), P(2)))]
-    assert extensions(P(4), 0) == []
+    assert extensions(card, 0).keys() == [canonical_form(graph_union(P(3), P(2)))]
+    assert extensions(P(4), 0).keys() == []
 
 
 def test_extensions_are_the_certificates_of_the_labeled_extensions():
@@ -83,10 +83,38 @@ def test_extensions_are_the_certificates_of_the_labeled_extensions():
             for u, v in g.edges():
                 card = g.remove_edge(u, v)
                 for d in (None, degs[u] + degs[v] - 2):
-                    exts = extensions(card, d)
+                    exts = extensions(card, d).keys()
                     assert all(a < b for a, b in zip(exts, exts[1:]))
                     want = {canonical_form(h) for h in oracles.one_edge_extensions(card, d)}
                     assert exts == sorted(want)
+
+
+def test_extension_counts_match_labeled_non_edges():
+    # every card of every graph with n <= 5: each class's count is the
+    # number of labeled non-edges giving it, grouped by the permutation
+    # oracle
+    for n in range(2, 6):
+        for g in enumerate_graphs(n):
+            degs = g.degrees()
+            for u, v in g.edges():
+                card = g.remove_edge(u, v)
+                for d in (None, degs[u] + degs[v] - 2):
+                    groups = []
+                    for h in oracles.one_edge_extensions(card, d):
+                        for group in groups:
+                            if oracles.exhaustive_isomorphic(group[0], h):
+                                group[1] += 1
+                                break
+                        else:
+                            groups.append([h, 1])
+                    exts = extensions(card, d)
+                    assert len(exts) == len(groups)
+                    for key, count in exts.items():
+                        (want,) = [
+                            c for h, c in groups
+                            if oracles.exhaustive_isomorphic(certificate_graph(key), h)
+                        ]
+                        assert count == want
 
 
 # --- determines -------------------------------------------------------------
@@ -129,7 +157,7 @@ def test_determines_fast_path_agrees_with_scan():
                     if not card.has_edge(a, b) and degs[a] + degs[b] == d
                 ]
                 if d == 0 or len(qualifying) == 1:
-                    assert extensions(card, d) == [canonical_form(g)]
+                    assert extensions(card, d).keys() == [canonical_form(g)]
 
 
 # --- blockers ---------------------------------------------------------------
@@ -196,6 +224,42 @@ def test_blocked_matches_blocker_decks_n5():
                         for bd in bdecks
                     )
                     assert blocked(g, cards, da) == want
+
+
+def test_blocker_multiplicities_match_built_decks():
+    # the double-counted multiplicities equal each blocker's freshly built
+    # deck on the graph's own keys, for all graphs with n <= 6 and all
+    # trees with n <= 9
+    graphs = [g for n in range(2, 7) for g in enumerate_graphs(n) if g.m >= 1]
+    graphs += [t for n in range(7, 10) for t in enumerate_trees(n)]
+    for g in graphs:
+        for da in (False, True):
+            deck_of = da_edeck if da else edge_deck
+            deck, bdecks = recon._context(canonical_form(g), da)[:2]
+            for h, bd in bdecks.items():
+                built = deck_of(certificate_graph(h))
+                on_keys = {key: built.mult(key) for key in deck if key in built}
+                assert bd == Deck(on_keys)
+
+
+def test_blocked_rejects_cards_outside_own_deck():
+    g = P(4)
+    for da in (False, True):
+        deck = da_edeck(g) if da else edge_deck(g)
+        other = da_edeck(star(3)) if da else edge_deck(star(3))
+        key, mult = deck.items()[0]
+        for cards in (Deck({key: mult + 1}), other, Deck(deck.items() + other.items())):
+            with pytest.raises(ValueError, match="sub-multiset"):
+                blocked(g, cards, da)
+
+
+def test_context_rejects_a_wrong_group_order(monkeypatch):
+    # one more than the true order: f * |Aut H| / |Aut C| stops dividing
+    true_aut = recon._aut
+    monkeypatch.setattr(recon, "_aut", lambda cert: (true_aut(cert)[0] + 1, true_aut(cert)[1]))
+    for da in (False, True):
+        with pytest.raises(ArithmeticError, match="group order is wrong"):
+            recon._context.__wrapped__(canonical_form(P(5)), da)
 
 
 def test_blockers_and_examples_are_canonical_graphs():
