@@ -128,8 +128,8 @@ def _cmd_recon(args) -> int:
         print(format_record(evaluate_graph(g)))
         return 0
     number, da = _NUMBERS[args.which]
-    print(f"graph: {canonical_form(g).canon}  n={g.n} m={g.m}")
     result = number(g, da=da)
+    print(f"graph: {canonical_form(g).canon}  n={g.n} m={g.m}")
     print(f"{args.which} = {_num(result.value)}")
     print(f"witness: {format_witness(result.witness)}")
     print(f"max shared with a blocker: {result.max_shared}")

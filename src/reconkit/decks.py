@@ -9,7 +9,7 @@ equality and containment into dictionary comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Certificate, Graph, GraphError, canonical_form
 
@@ -25,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class DaEcard:
+class DaEcard(NamedTuple):
     """An edge-card certificate together with the degree of the deleted edge."""
 
     card: Certificate
@@ -34,7 +33,8 @@ class DaEcard:
 
 
 class Deck:
-    """Multiset of deck keys (Certificate or DaEcard) with multiplicities."""
+    """Multiset of deck keys (Certificate or DaEcard) with multiplicities,
+    held in increasing key order, which every view of the deck reads."""
 
     __slots__ = ("_entries",)
 
@@ -43,7 +43,7 @@ class Deck:
         for key, mult in items.items():
             if not isinstance(mult, int) or mult < 1:
                 raise ValueError(f"multiplicity for {key!r} must be a positive int")
-        self._entries = items
+        self._entries = dict(sorted(items.items()))
 
     @property
     def total(self) -> int:
@@ -53,16 +53,16 @@ class Deck:
         return self._entries.get(key, 0)
 
     def keys(self) -> list:
-        return sorted(self._entries)
+        return list(self._entries)
 
     def items(self) -> list:
-        return sorted(self._entries.items())
+        return list(self._entries.items())
 
     def __len__(self):
         return len(self._entries)
 
     def __iter__(self):
-        return iter(self.keys())
+        return iter(self._entries)
 
     def __contains__(self, key):
         return key in self._entries
@@ -71,10 +71,10 @@ class Deck:
         return isinstance(other, Deck) and self._entries == other._entries
 
     def __hash__(self):
-        return hash(tuple(self.items()))
+        return hash(tuple(self._entries.items()))
 
     def __repr__(self):
-        inner = ", ".join(f"{k!r}: {m}" for k, m in self.items())
+        inner = ", ".join(f"{k!r}: {m}" for k, m in self._entries.items())
         return f"Deck({{{inner}}})"
 
 

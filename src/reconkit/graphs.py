@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 MAX_VERTICES = 32
 
@@ -291,8 +292,7 @@ def parse_graph6(text: str) -> Graph:
 # pruning, taking the least adjacency encoding over its leaves.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Canonical identifier of an isomorphism class.
 
     ``code`` is the upper triangle of the canonically relabeled graph packed

@@ -108,7 +108,7 @@ def extensions(card: Graph, d: int | None = None) -> Deck:
         seen |= orbit
         key = canonical_form(c.add_edge(*pair))
         counts[key] = counts.get(key, 0) + len(orbit)
-    return Deck(sorted(counts.items()))
+    return Deck(counts)
 
 
 def determines(card: Graph, d: int, origin: Graph) -> bool:
@@ -148,7 +148,7 @@ def _context(gcert: Certificate, da: bool):
     deck = _deck_of_cert(gcert, da)
     mults: dict = {}
     for key in deck.keys():
-        card, d = (key.card, key.d) if da else (key, None)
+        card, d = key if da else (key, None)
         card_order = _aut(card)[0]
         for h, f in extensions(certificate_graph(card), d).items():
             if h == gcert:

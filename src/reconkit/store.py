@@ -152,17 +152,28 @@ _FILTER_RE = re.compile(r"^\s*(\w+)\s*(>=|<=|!=|=|>|<)\s*(\S+)\s*$")
 _FILTER_FIELDS = {"n", "m", "ern", "dern", "adv_ern", "adv_dern", "elapsed_ms"}
 
 
+def _filter_value(text: str):
+    """A filter's value as a float, 'indet' as +infinity; None when text
+    is not a number."""
+    if text == "indet":
+        return float("inf")
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def parse_filter(expr: str):
     """Tiny filter language: '<field> <op> <value>', e.g. 'dern>=3'.
 
     Indeterminate values compare as +infinity, so 'dern>=3' also selects
-    graphs whose full deck is blocked.
+    graphs whose full deck is blocked, and 'dern=indet' selects only them.
     """
     match = _FILTER_RE.match(expr)
-    if not match or match.group(1) not in _FILTER_FIELDS:
+    field, op, raw = match.groups() if match else (None, None, "")
+    target = _filter_value(raw)
+    if field not in _FILTER_FIELDS or target is None:
         raise ValueError(f"bad filter {expr!r}; fields: {sorted(_FILTER_FIELDS)}")
-    field, op, raw = match.groups()
-    target = float(raw)
 
     def value(rec):
         v = getattr(rec, field)

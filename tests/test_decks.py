@@ -180,3 +180,34 @@ def test_format_deck():
 def test_deck_validation():
     with pytest.raises(ValueError):
         Deck({cert(P(3)): 0})
+
+
+# --- order ---------------------------------------------------------------------
+
+def test_deck_order_is_fixed_when_built():
+    rng = random.Random(7)
+    entries = list(da_edeck(disjoint_union(2, path(4))).items())
+    entries += list(da_edeck(graph_union(star(3), complete(3))).items())
+    decks = []
+    for _ in range(5):
+        rng.shuffle(entries)
+        decks.append(Deck(dict(entries)))
+    first = decks[0]
+    assert first.keys() == sorted(first.keys())
+    for deck in decks[1:]:
+        assert deck.keys() == first.keys()
+        assert deck.items() == first.items()
+        assert list(iter(deck)) == list(iter(first))
+        assert repr(deck) == repr(first)
+        assert hash(deck) == hash(first)
+
+
+def test_key_order_and_repr():
+    rng = random.Random(11)
+    certs = [cert(rand_graph(rng, rng.randint(2, 6))) for _ in range(40)]
+    assert sorted(certs) == sorted(certs, key=lambda c: (c.n, c.m, c.code))
+    keys = [DaEcard(c, rng.randint(0, 4)) for c in certs]
+    by_fields = sorted(keys, key=lambda k: ((k.card.n, k.card.m, k.card.code), k.d))
+    assert sorted(keys) == by_fields
+    key = DaEcard(cert(P(3)), 1)
+    assert repr(key) == "DaEcard(card=Certificate(n=3, m=2, code=3), d=1)"

@@ -242,6 +242,32 @@ def test_blocker_multiplicities_match_built_decks():
                 assert bd == Deck(on_keys)
 
 
+def sum_sq_degrees(g):
+    return sum(x * x for x in g.degrees())
+
+
+def test_da_context_is_the_plain_context_at_equal_degree_squares():
+    # A card fixes the degree of the edge it lost:
+    # sum deg^2(H) = sum deg^2(H - e) + 2 d(e) + 2.  So each card class
+    # occurs in the da-edeck with one d, and the da-blockers are the plain
+    # blockers with G's sum of squared degrees, multiplicities unchanged.
+    graphs = [g for n in range(2, 7) for g in enumerate_graphs(n) if g.m >= 1]
+    graphs += [t for n in range(7, 10) for t in enumerate_trees(n)]
+    for g in graphs:
+        gcert = canonical_form(g)
+        deck, bdecks = recon._context(gcert, False)[:2]
+        da_deck, da_bdecks = recon._context(gcert, True)[:2]
+        assert [(key.card, m) for key, m in da_deck.items()] == deck.items()
+        same_sq = [
+            h for h in bdecks
+            if sum_sq_degrees(certificate_graph(h)) == sum_sq_degrees(g)
+        ]
+        assert list(da_bdecks) == same_sq
+        for h in same_sq:
+            on_cards = [(key.card, m) for key, m in da_bdecks[h].items()]
+            assert on_cards == bdecks[h].items()
+
+
 def test_blocked_rejects_cards_outside_own_deck():
     g = P(4)
     for da in (False, True):

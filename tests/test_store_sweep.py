@@ -142,6 +142,18 @@ def test_store_filter(tmp_path):
         parse_filter("bogus ~ 3")
 
 
+def test_store_filter_reads_indet_and_rejects_other_words(tmp_path):
+    store = tmp_path / "s.txt"
+    indet, finite = rec_for(star(3)), rec_for(path(4))
+    assert indet.dern is None and finite.dern is not None
+    for rec in (indet, finite):
+        store_append(store, rec)
+    records, _ = store_scan(store, "dern=indet")
+    assert records == [indet]
+    with pytest.raises(ValueError, match="bad filter"):
+        store_scan(store, "dern>=x")
+
+
 def test_indeterminate_round_trips(tmp_path):
     rec = rec_for(star(3))
     assert rec.dern is None and rec.ern is None
@@ -352,6 +364,12 @@ def test_cli_deck_and_recon():
     assert "adv-dern = 1" in out.stdout
     out = run_cli(["adv", "K:4", "--da"])
     assert out.returncode == 1 and "invalid choice: 'adv'" in out.stderr
+
+
+def test_cli_recon_failure_prints_nothing_to_stdout():
+    out = run_cli(["recon", "U:1*P:1", "--which=dern"])
+    assert out.returncode == 1 and out.stdout == ""
+    assert "da-edeck of an edgeless graph" in out.stderr
 
 
 def test_cli_caterpillar():
