@@ -93,7 +93,7 @@ def _build_parser() -> _Parser:
     f = fsub.add_parser("list", help="enumerate trees or graphs")
     f.add_argument("what", choices=["trees", "graphs"])
     f.add_argument("n", type=int)
-    f.add_argument("--edges", type=int, default=None)
+    f.add_argument("--edges", type=int, default=None, help="graphs only")
 
     p = sub.add_parser("store", help="inspect the result store")
     ssub = p.add_subparsers(dest="action", required=True)
@@ -172,14 +172,15 @@ def _cmd_family(args) -> int:
         g = resolve_graph_input(args.spec)
         print(write_graph6(g))
         return 0
-    gen = (
-        enumerate_trees(args.n)
-        if args.what == "trees"
-        else enumerate_graphs(args.n, args.edges)
-    )
+    if args.what == "graphs":
+        gen = enumerate_graphs(args.n, args.edges)
+    elif args.edges is None:
+        gen = enumerate_trees(args.n)
+    else:
+        raise SystemExit("error: --edges applies to graphs only (a tree has n-1 edges)")
     count = 0
-    for g in gen:
-        print(canonical_form(g).canon)
+    for g in gen:  # each one its own canonical graph
+        print(write_graph6(g))
         count += 1
     print(f"total: {count}", file=sys.stderr)
     return 0

@@ -13,9 +13,14 @@ from functools import lru_cache
 from .caterpillar import CaterpillarSeq
 from .graphs import (
     MAX_VERTICES,
+    Certificate,
     Graph,
     GraphError,
-    _classes,
+    _aut,
+    _bits,
+    _generators,
+    _least_leaf_code,
+    _orbit,
     _require_size,
     canonical_graph,
     certificate_graph,
@@ -130,44 +135,65 @@ def spider(lengths) -> Graph:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _trees(n: int) -> tuple:
+def _census(n: int, trees: bool) -> tuple:
+    """(certificate, canonical graph) of every graph, or every tree, on n
+    vertices, one per isomorphism class, in increasing certificate order.
+
+    Canonical augmentation (McKay, Isomorph-free exhaustive generation,
+    1998): each class on n - 1 vertices gets a new vertex joined to one
+    vertex set per orbit of its automorphism group, one vertex for trees.
+    A child is kept when the new vertex is in the orbit of its canonical
+    vertex, the last of least degree in canonical order, so each class is
+    made exactly once: from the class of the child minus that vertex.
+    """
     if n == 1:
-        return (Graph.from_edges(1, []),)
-    certs = _classes(t.add_vertex([v]) for t in _trees(n - 1) for v in range(t.n))
-    return tuple(map(certificate_graph, certs))
+        return ((Certificate(1, 0, 0), Graph.from_edges(1, [])),)
+    new = n - 1
+    found = []
+    for cert, parent in _census(new, trees):
+        degs = parent.degrees()
+        least = min(degs)
+        mins = sum(1 << v for v, d in enumerate(degs) if d == least)
+        # as in nauty's geng, before labeling: the new vertex has least degree,
+        # so at most the old least, or one more if joined to all of that degree
+        masks = [
+            nb
+            for nb in ([1 << v for v in range(new)] if trees else range(1 << new))
+            if nb.bit_count() <= least + (nb & mins == mins)
+        ]
+        gens = _aut(cert)[1]  # each also permutes masks: degrees are invariant
+        images = [{x: sum(1 << p[v] for v in _bits(x)) for x in masks} for p in gens]
+        seen = set()
+        for nb in masks:
+            if nb in seen:
+                continue
+            seen |= _orbit(images, (), [nb])
+            child = parent.add_vertex(_bits(nb))
+            code, order, _path, autos, twins = _least_leaf_code(child)
+            low = nb.bit_count()
+            canon = next(v for v in reversed(order) if child.rows[v].bit_count() == low)
+            if canon == new or new in _orbit(_generators(n, autos, twins), (), [canon]):
+                found.append(Certificate(n, parent.m + low, code))
+    return tuple((c, certificate_graph(c)) for c in sorted(found))
 
 
 def enumerate_trees(n: int):
-    """All free trees on n vertices, one per isomorphism class.
-
-    Grown by attaching a leaf everywhere on every (n-1)-vertex tree and
-    deduplicating by certificate; every tree has a leaf, so this reaches
-    every class.
-    """
+    """All free trees on n vertices, one canonical graph per isomorphism
+    class, in increasing certificate order."""
     if not 1 <= n <= MAX_TREE_N:
         raise GraphError(f"tree enumeration supports 1..{MAX_TREE_N}, got {n}")
-    yield from _trees(n)
-
-
-@lru_cache(maxsize=None)
-def _graphs(n: int) -> tuple:
-    if n == 1:
-        return (Graph.from_edges(1, []),)
-    certs = _classes(
-        g.add_vertex([v for v in range(n - 1) if nb >> v & 1])
-        for g in _graphs(n - 1)
-        for nb in range(1 << (n - 1))
-    )
-    return tuple(map(certificate_graph, certs))
+    for _cert, t in _census(n, True):
+        yield t
 
 
 def enumerate_graphs(n: int, m: int | None = None):
-    """All graphs on n vertices (optionally with exactly m edges), one per
-    isomorphism class; n is capped at oracle scale."""
+    """All graphs on n vertices (optionally with exactly m edges), one
+    canonical graph per isomorphism class in increasing certificate order;
+    n is capped at oracle scale."""
     if not 1 <= n <= MAX_GRAPH_N:
         raise GraphError(f"graph enumeration supports 1..{MAX_GRAPH_N}, got {n}")
-    for g in _graphs(n):
-        if m is None or g.m == m:
+    for cert, g in _census(n, False):
+        if m is None or cert.m == m:
             yield g
 
 

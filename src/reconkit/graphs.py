@@ -386,8 +386,8 @@ def _leaf_code(rows, order) -> int:
 
 
 def _least_leaf_code(g: Graph) -> tuple:
-    """Individualization-refinement search: the least leaf code, the first
-    path, the automorphisms found at leaves and the skipped twin pairs.
+    """Individualization-refinement search: the least leaf code, its vertex
+    order, the first path, the leaf automorphisms and the skipped twin pairs.
 
     The root is the equitable refinement of the unit partition.  A node's
     children individualize each vertex v of its first non-singleton cell:
@@ -465,7 +465,16 @@ def _least_leaf_code(g: Graph) -> tuple:
         return depth
 
     dfs(order, end, [])
-    return best_code, first_path, autos, twins
+    return best_code, best_order, first_path, autos, twins
+
+
+def _generators(n: int, autos: list, twins: list) -> list:
+    """Generators of Aut(g): a search's leaf automorphisms and twin swaps."""
+    for u, v in twins:
+        swap = list(range(n))
+        swap[u], swap[v] = v, u
+        autos.append(swap)
+    return autos
 
 
 def _orbit(autos, fixed, seeds) -> set:
@@ -500,11 +509,8 @@ def _aut(cert: Certificate) -> tuple:
     the path of the orbit of each vertex under the generators that fix the
     vertices before it (McKay & Piperno 2014).
     """
-    _code, path, autos, twins = _least_leaf_code(certificate_graph(cert))
-    for u, v in twins:
-        swap = list(range(cert.n))
-        swap[u], swap[v] = v, u
-        autos.append(swap)
+    _code, _order, path, autos, twins = _least_leaf_code(certificate_graph(cert))
+    autos = _generators(cert.n, autos, twins)
     order = 1
     for k, v in enumerate(path):
         order *= len(_orbit(autos, path[:k], [v]))
@@ -519,13 +525,6 @@ def canonical_graph(g: Graph) -> Graph:
 def certificate_graph(cert: Certificate) -> Graph:
     """Rebuild the canonical representative from a certificate."""
     return _unpack(cert.n, cert.code)
-
-
-def _classes(candidates) -> list:
-    """The certificates of the isomorphism classes among the candidate
-    graphs, each once, in increasing order; decoding one is left to the
-    caller that needs its graph."""
-    return sorted({canonical_form(g) for g in candidates})
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -1,8 +1,15 @@
+import hashlib
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from oracles import iso_classes_by_permutation, labeled_graphs, prufer_tree_class_count
+from oracles import (
+    exhaustive_isomorphic,
+    iso_classes_by_permutation,
+    labeled_graphs,
+    prufer_tree_class_count,
+)
 from reconkit import (
     Graph,
     GraphError,
@@ -112,12 +119,50 @@ def test_graph_counts():
     # OEIS A000088: graphs on n unlabeled vertices
     counts = [len(list(enumerate_graphs(n))) for n in range(1, 9)]
     assert counts == [1, 2, 4, 11, 34, 156, 1044, 12346]
+    # OEIS A008406: the graphs on 8 vertices by edge count
+    by_edges = Counter(g.m for g in enumerate_graphs(8))
+    assert [by_edges[m] for m in range(29)] == [
+        1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557, 1646,
+        1557, 1312, 980, 663, 402, 221, 115, 56, 24, 11, 5, 2, 1, 1,
+    ]
     assert iso_classes_by_permutation(labeled_graphs(4)) == 11
     assert len(list(enumerate_graphs(5, 4))) == 6
     with pytest.raises(GraphError):
         list(enumerate_graphs(9))
     with pytest.raises(GraphError):
         list(enumerate_trees(13))
+
+
+def census_digest(graphs) -> str:
+    text = "".join(write_graph6(g) + "\n" for g in graphs)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_census_pinned_in_yield_order():
+    # the graph6 text of every yielded graph, in yield order, over every size
+    graphs = (g for n in range(1, 9) for g in enumerate_graphs(n))
+    assert census_digest(graphs) == (
+        "9facfabaa9163676991aecafbc836ee850cbe284bce05637a0c01dae8787e4d2"
+    )
+    trees = (t for n in range(1, 13) for t in enumerate_trees(n))
+    assert census_digest(trees) == (
+        "2c10325cfe9ec091af89d1c3ae8f68124808335b0288b06adccffc3fe48e28f2"
+    )
+
+
+def test_census_classes_distinct_by_oracle():
+    # With the A000088 and Prufer counts, pairwise non-isomorphism decided
+    # by the permutation oracle shows each census complete and duplicate-free.
+    census = [list(enumerate_graphs(n)) for n in range(1, 8)]
+    census += [list(enumerate_trees(n)) for n in range(1, 10)]
+    for graphs in census:
+        by_degrees: dict = {}
+        for g in graphs:
+            assert canonical_graph(g) == g
+            by_degrees.setdefault(tuple(sorted(g.degrees())), []).append(g)
+        for same in by_degrees.values():
+            for g, h in combinations(same, 2):
+                assert not exhaustive_isomorphic(g, h), (g, h)
 
 
 def test_family_grammar():

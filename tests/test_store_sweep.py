@@ -478,6 +478,9 @@ def test_cli_family_and_errors():
     assert len(out.stdout.strip().splitlines()) == 11
     out = run_cli(["family", "list", "graphs", "5", "--edges", "4"])
     assert len(out.stdout.strip().splitlines()) == 6
+    out = run_cli(["family", "list", "trees", "5", "--edges", "2"])
+    assert out.returncode == 1 and out.stdout == ""
+    assert "--edges applies to graphs only" in out.stderr
     out = run_cli(["deck", "not-a-graph"])
     assert out.returncode == 1
     out = run_cli(["nope"])
