@@ -74,8 +74,9 @@ def _build_parser() -> _Parser:
         help="kH over connected H, n(H)<=MAXH",
     )
     p.add_argument("--claim", required=True, choices=sorted(CLAIMS))
-    p.add_argument("--store", default=None, help="store path (default from env)")
-    p.add_argument("--no-store", action="store_true", help="do not persist records")
+    persist = p.add_mutually_exclusive_group()
+    persist.add_argument("--store", default=None, help="store path (default from env)")
+    persist.add_argument("--no-store", action="store_true", help="do not persist records")
     p.add_argument("--force", action="store_true", help="override size caps")
 
     p = sub.add_parser("caterpillar", help="sequence calculus")

@@ -41,7 +41,7 @@ class Deck:
     def __init__(self, entries):
         items = dict(entries)
         for key, mult in items.items():
-            if not isinstance(mult, int) or mult < 1:
+            if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
                 raise ValueError(f"multiplicity for {key!r} must be a positive int")
         self._entries = dict(sorted(items.items()))
 

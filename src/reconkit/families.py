@@ -18,9 +18,9 @@ from .graphs import (
     GraphError,
     _aut,
     _bits,
-    _generators,
     _least_leaf_code,
     _orbit,
+    _remember,
     _require_size,
     canonical_graph,
     certificate_graph,
@@ -169,11 +169,12 @@ def _census(n: int, trees: bool) -> tuple:
                 continue
             seen |= _orbit(images, (), [nb])
             child = parent.add_vertex(_bits(nb))
-            code, order, _path, autos, twins = _least_leaf_code(child)
+            code, order, _path, gens = search = _least_leaf_code(child)
             low = nb.bit_count()
             canon = next(v for v in reversed(order) if child.rows[v].bit_count() == low)
-            if canon == new or new in _orbit(_generators(n, autos, twins), (), [canon]):
+            if canon == new or new in _orbit(gens, (), [canon]):
                 found.append(Certificate(n, parent.m + low, code))
+                _remember(found[-1], search)  # its group, for _aut
     return tuple((c, certificate_graph(c)) for c in sorted(found))
 
 

@@ -387,7 +387,8 @@ def _leaf_code(rows, order) -> int:
 
 def _least_leaf_code(g: Graph) -> tuple:
     """Individualization-refinement search: the least leaf code, its vertex
-    order, the first path, the leaf automorphisms and the skipped twin pairs.
+    order, the first path, and the leaf automorphisms followed by the
+    transpositions of the skipped twin pairs.
 
     The root is the equitable refinement of the unit partition.  A node's
     children individualize each vertex v of its first non-singleton cell:
@@ -404,8 +405,7 @@ def _least_leaf_code(g: Graph) -> tuple:
     already explored.  Skipped subtrees are images of explored ones, so the
     least code over all leaves is found, and the leaf automorphisms with
     the twin transpositions generate Aut(g) with the first path as a base
-    (McKay & Piperno 2014): see ``_aut``.  Twin pairs stay pairs here, so
-    a caller that needs only the code builds no permutation for them.
+    (McKay & Piperno 2014): see ``_aut``.
     """
     n, rows = g.n, g.rows
     order = list(range(n))
@@ -465,16 +465,8 @@ def _least_leaf_code(g: Graph) -> tuple:
         return depth
 
     dfs(order, end, [])
-    return best_code, best_order, first_path, autos, twins
-
-
-def _generators(n: int, autos: list, twins: list) -> list:
-    """Generators of Aut(g): a search's leaf automorphisms and twin swaps."""
-    for u, v in twins:
-        swap = list(range(n))
-        swap[u], swap[v] = v, u
-        autos.append(swap)
-    return autos
+    autos += ([u + v - w if w in (u, v) else w for w in range(n)] for u, v in twins)
+    return best_code, best_order, first_path, autos
 
 
 def _orbit(autos, fixed, seeds) -> set:
@@ -492,11 +484,31 @@ def _orbit(autos, fixed, seeds) -> set:
     return orbit
 
 
+# Certificate -> the group found by the search that made it, first in first out
+_GROUPS_CAP = 1 << 16
+_groups: dict = {}
+
+
+def _remember(cert: Certificate, search: tuple) -> bytes:
+    """The record of cert's group, kept once, from ``search``, a
+    ``_least_leaf_code`` result: the first path's length, the best leaf
+    order, the first path and the generators, in the searched labels."""
+    if cert not in _groups:
+        _code, order, path, gens = search
+        if len(_groups) >= _GROUPS_CAP:
+            del _groups[next(iter(_groups))]
+        _groups[cert] = bytes([len(path), *order, *path]) + b"".join(map(bytes, gens))
+    return _groups[cert]
+
+
 @lru_cache(maxsize=1 << 18)
 def canonical_form(g: Graph) -> Certificate:
     """Certificate of g; equal across all relabelings, distinct across
     non-isomorphic graphs."""
-    return Certificate(g.n, g.m, _least_leaf_code(g)[0])
+    search = _least_leaf_code(g)
+    cert = Certificate(g.n, g.m, search[0])
+    _remember(cert, search)
+    return cert
 
 
 @lru_cache(maxsize=1 << 16)
@@ -504,17 +516,23 @@ def _aut(cert: Certificate) -> tuple:
     """|Aut| of the canonical graph of cert and generators of the group, as
     permutations of that graph's own vertices (bytes: n <= 32).
 
-    The generators that fix the first k vertices of the first path
-    generate their pointwise stabilizer, so the order is the product over
-    the path of the orbit of each vertex under the generators that fix the
-    vertices before it (McKay & Piperno 2014).
+    The group is read from the record of the search that made cert; only
+    without one is the canonical graph searched.  The generators that fix
+    the first k path vertices generate their pointwise stabilizer, so the
+    order is the product over the path of the orbit of each vertex under
+    the generators that fix the vertices before it (McKay & Piperno 2014).
+    The canonical graph's vertex i is the searched graph's order[i].
     """
-    _code, _order, path, autos, twins = _least_leaf_code(certificate_graph(cert))
-    autos = _generators(cert.n, autos, twins)
-    order = 1
-    for k, v in enumerate(path):
-        order *= len(_orbit(autos, path[:k], [v]))
-    return order, tuple(dict.fromkeys(map(bytes, autos)))
+    n = cert.n
+    record = _groups.get(cert) or _remember(cert, _least_leaf_code(certificate_graph(cert)))
+    k = 1 + n + record[0]
+    order, path = record[1:1 + n], record[1 + n:k]
+    gens = list(dict.fromkeys(record[i:i + n] for i in range(k, len(record), n)))
+    size = 1
+    for j, v in enumerate(path):
+        size *= len(_orbit(gens, path[:j], [v]))
+    pos = sorted(range(n), key=order.__getitem__)  # pos[order[i]] = i
+    return size, tuple(bytes(pos[gen[v]] for v in order) for gen in gens)
 
 
 def canonical_graph(g: Graph) -> Graph:

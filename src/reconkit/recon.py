@@ -4,14 +4,16 @@ A blocker for a collection of (da-)ecards of G is a graph H, not isomorphic
 to G, whose own deck contains the collection.  Because cards keep all
 vertices, any graph sharing a card C with G is C plus one edge, so scanning
 single-edge extensions of the deck's cards enumerates every possible
-blocker.  Counting the pairs (edge e of H, isomorphism H - e -> C) two ways
-gives H's multiplicity on C without building H's deck:
+blocker; each card class is scanned once.  Counting the pairs (edge e of H,
+isomorphism H - e -> C) two ways gives H's multiplicity on C without
+building H's deck:
 
     m_H(C, d) = #{non-edges f of C of degree d : C + f = H} * |Aut H| / |Aut C|
 
 The minimum variants (ern, dern) find the smallest sub-multiset of the deck
-contained in no blocker's deck; the adversary variants equal one plus the
-largest overlap between G's deck and a blocker's.
+contained in no blocker's deck, each query an AND of per-card bitmasks over
+the blockers; the adversary variants equal one plus the largest overlap
+between G's deck and a blocker's.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .decks import (
     da_edeck,
     edge_deck,
     min_multiplicity,
-    sub_multiset,
 )
 from .graphs import (
     Certificate,
@@ -83,9 +84,13 @@ def extensions(card: Graph, d: int | None = None) -> Deck:
     The pairs are read on card's canonical graph, one per orbit of its
     automorphism group, weighted by the orbit's size (McKay, Isomorph-free
     exhaustive generation, 1998): the pairs of an orbit give isomorphic
-    graphs, so only one of them is labeled.
+    graphs, so only one of them is labeled.  Cached per card class and d.
     """
-    cert = canonical_form(card)
+    return _scan(canonical_form(card), d)
+
+
+@lru_cache(maxsize=1 << 14)
+def _scan(cert: Certificate, d: int | None) -> Deck:
     c = certificate_graph(cert)
     gens = _aut(cert)[1]
     degs = c.degrees()
@@ -135,19 +140,12 @@ def _deck_of_cert(cert: Certificate, da: bool) -> Deck:
     return da_edeck(g) if da else edge_deck(g)
 
 
-@lru_cache(maxsize=4096)
-def _context(gcert: Certificate, da: bool):
-    """The class's (da-)edeck, a dict from each blocker's certificate to
-    its multiplicities on the class's own deck keys, in increasing
-    certificate order, and the largest overlap between the class's deck
-    and a blocker's, with the certificate of the first blocker reaching
-    it.  The multiplicities come from the extension scan by double
-    counting (see the module docstring); no blocker's deck is built.
-    Keyed by certificate, so every labeling of a graph shares one context.
+def _multiplicities(gcert: Certificate, da: bool) -> dict:
+    """Each blocker's certificate, in increasing order, to its multiplicities
+    on the class's own deck keys, by double counting (module docstring).
     Raises GraphError, from the deck, for an edgeless class."""
-    deck = _deck_of_cert(gcert, da)
     mults: dict = {}
-    for key in deck.keys():
+    for key in _deck_of_cert(gcert, da):
         card, d = key if da else (key, None)
         card_order = _aut(card)[0]
         for h, f in extensions(certificate_graph(card), d).items():
@@ -160,19 +158,27 @@ def _context(gcert: Certificate, da: bool):
                     f" = {card_order}: a group order is wrong"
                 )
             mults.setdefault(h, {})[key] = m
-    bdecks: dict = {}
-    shapes: dict = {}  # blockers with equal multiplicities share one Deck
-    max_shared = 0
-    example = None
-    for h in sorted(mults):
-        shape = tuple(mults[h].items())  # in deck key order
-        if shape not in shapes:
-            shapes[shape] = Deck(shape)
-        bdecks[h] = shapes[shape]
-        shared = sum(min(m, deck.mult(key)) for key, m in shape)
+    return {h: mults[h] for h in sorted(mults)}
+
+
+@lru_cache(maxsize=4096)
+def _context(gcert: Certificate, da: bool):
+    """The class's (da-)edeck, its blockers' certificates, the ``blocked``
+    index (per deck key, entry x - 1 has bit i set if blocker i reaches
+    multiplicity x), the deck's largest overlap with a blocker's deck, and
+    the first blocker reaching it with its multiplicities.  Per class."""
+    deck = _deck_of_cert(gcert, da)
+    mults = _multiplicities(gcert, da)
+    index = {key: [0] * deck.mult(key) for key in deck}
+    max_shared, example = 0, None
+    for i, (h, on_keys) in enumerate(mults.items()):
+        for key, m in on_keys.items():
+            for x in range(min(m, deck.mult(key))):
+                index[key][x] |= 1 << i
+        shared = sum(min(m, deck.mult(key)) for key, m in on_keys.items())
         if shared > max_shared:
             max_shared, example = shared, h
-    return deck, bdecks, max_shared, example
+    return deck, tuple(mults), index, max_shared, example, mults.get(example)
 
 
 def blocked(g: Graph, cards: Deck, da: bool) -> bool:
@@ -180,14 +186,17 @@ def blocked(g: Graph, cards: Deck, da: bool) -> bool:
 
     Keys are DaEcard for da=True and plain certificates otherwise.  The
     cards must be a sub-multiset of g's own deck, since blocker
-    multiplicities are known only on g's keys; ValueError otherwise.  The
-    multiplicities are cached per isomorphism class, so repeated queries
-    are cheap.
+    multiplicities are known only on g's keys; ValueError otherwise.  An
+    empty multiset is blocked exactly when g has a blocker.
     """
-    deck, bdecks = _context(canonical_form(g), da)[:2]
-    if not sub_multiset(cards, deck):
-        raise ValueError("cards are not a sub-multiset of the graph's own deck")
-    return any(sub_multiset(cards, bd) for bd in bdecks.values())
+    hs, index = _context(canonical_form(g), da)[1:3]
+    reach = (1 << len(hs)) - 1
+    for key in cards:
+        x = cards.mult(key)
+        if x > len(index.get(key, ())):
+            raise ValueError("cards are not a sub-multiset of the graph's own deck")
+        reach &= index[key][x - 1]
+    return reach != 0
 
 
 def _witness_vectors(mults, k):
@@ -208,7 +217,7 @@ def _witness_vectors(mults, k):
 def recon_number(g: Graph, da: bool = False) -> ReconResult:
     """Smallest k such that some k-sub-multiset of the (da-)edeck of g is
     contained in no blocker's deck (ern for da=False, dern for da=True)."""
-    deck, _bdecks, max_shared, example = _context(canonical_form(g), da)
+    deck, _hs, _index, max_shared, example = _context(canonical_form(g), da)[:5]
     example = None if example is None else certificate_graph(example)
     if max_shared == deck.total:
         return ReconResult(None, (), max_shared, example)
@@ -225,14 +234,13 @@ def recon_number(g: Graph, da: bool = False) -> ReconResult:
 def adv_recon_number(g: Graph, da: bool = False) -> ReconResult:
     """Least k such that every k-sub-multiset of the deck is unblocked:
     1 + the largest deck intersection with any blocker."""
-    deck, bdecks, max_shared, example = _context(canonical_form(g), da)
+    deck, _hs, _index, max_shared, example, on_keys = _context(canonical_form(g), da)
     if example is None:
         return ReconResult(max_shared + 1, (), max_shared, None)
-    bd = bdecks[example]
     example = certificate_graph(example)
     if max_shared >= deck.total:
         return ReconResult(None, (), max_shared, example)
-    overlap = ((key, min(m, bd.mult(key))) for key, m in deck.items())
+    overlap = ((key, min(m, on_keys.get(key, 0))) for key, m in deck.items())
     witness = tuple((key, x) for key, x in overlap if x)
     return ReconResult(max_shared + 1, witness, max_shared, example)
 

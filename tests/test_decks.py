@@ -182,6 +182,14 @@ def test_deck_validation():
         Deck({cert(P(3)): 0})
 
 
+def test_deck_rejects_bool_multiplicities():
+    # True is an int equal to 1, but not a multiplicity
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="must be a positive int"):
+            Deck({cert(P(3)): flag})
+    assert Deck({cert(P(3)): 1}).mult(cert(P(3))) == 1
+
+
 # --- order ---------------------------------------------------------------------
 
 def test_deck_order_is_fixed_when_built():

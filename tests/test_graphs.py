@@ -30,6 +30,7 @@ from reconkit import (
     parse_graph6,
     write_graph6,
 )
+from reconkit import families, graphs
 from reconkit.graphs import _aut
 
 
@@ -200,6 +201,81 @@ def test_automorphism_group_matches_permutation_oracle_n7():
         for gen in gens:
             assert sorted(gen) == list(range(g.n))
             assert canon.permuted(list(gen)) == canon
+
+
+def count_searches(monkeypatch) -> list:
+    """The graphs handed to graphs._least_leaf_code from now on."""
+    calls = []
+    search = graphs._least_leaf_code
+    monkeypatch.setattr(graphs, "_least_leaf_code", lambda g: calls.append(g) or search(g))
+    return calls
+
+
+def orbits(n, gens) -> set:
+    return {frozenset(graphs._orbit(gens, (), [v])) for v in range(n)}
+
+
+def test_aut_reads_the_group_of_the_search_that_made_the_certificate(monkeypatch):
+    # after canonical_form's search of a relabeled graph, or the census's
+    # search of a kept child, _aut runs no search: it reads the group
+    # that search recorded
+    monkeypatch.setattr(graphs, "_groups", {})
+    calls = count_searches(monkeypatch)
+    rng = random.Random(4)
+    for g in (g for n in range(1, 8) for g in enumerate_graphs(n)):
+        cert = canonical_form.__wrapped__(relabeled(g, rng))
+        calls.clear()
+        assert _aut.__wrapped__(cert)[0] == automorphism_count(g), g
+        assert calls == []
+    monkeypatch.setattr(graphs, "_groups", {})
+    for n, trees in [(n, False) for n in range(2, 8)] + [(n, True) for n in range(2, 10)]:
+        for cert, _g in families._census.__wrapped__(n, trees):
+            calls.clear()
+            _aut.__wrapped__(cert)
+            assert calls == [], cert
+
+
+def test_aut_without_a_record_searches_the_canonical_graph(monkeypatch):
+    # the same order and orbits from the recorded group of a relabeled
+    # graph's search as from a search of the canonical graph itself
+    rng = random.Random(5)
+    certs = [
+        canonical_form.__wrapped__(relabeled(g, rng))
+        for n in range(1, 8)
+        for g in enumerate_graphs(n)
+    ]
+    recorded = [_aut.__wrapped__(cert) for cert in certs]
+    monkeypatch.setattr(graphs, "_groups", {})
+    calls = count_searches(monkeypatch)
+    for cert, (order, gens) in zip(certs, recorded):
+        calls.clear()
+        fresh_order, fresh_gens = _aut.__wrapped__(cert)
+        assert calls == [certificate_graph(cert)]
+        assert fresh_order == order == automorphism_count(certificate_graph(cert))
+        assert orbits(cert.n, fresh_gens) == orbits(cert.n, gens)
+    assert list(graphs._groups) == certs  # each search recorded once
+
+
+def test_group_store_stays_within_its_cap(monkeypatch):
+    cap = 40
+    monkeypatch.setattr(graphs, "_GROUPS_CAP", cap)
+    monkeypatch.setattr(graphs, "_groups", {})
+    rng = random.Random(6)
+    graphs_ = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    assert len(graphs_) > 3 * cap
+    certs = []
+    for g in graphs_:
+        certs.append(canonical_form.__wrapped__(relabeled(g, rng)))
+        assert len(graphs._groups) <= cap
+    assert list(graphs._groups) == certs[-cap:]  # first in, first out
+    # a certificate whose group is kept gets no second record
+    kept = dict(graphs._groups)
+    for g in graphs_[-cap:]:
+        canonical_form.__wrapped__(relabeled(g, rng))
+    assert all(graphs._groups[c] is kept[c] for c in kept)
+    # an evicted certificate still gets its group, by a search of its own
+    for g, cert in zip(graphs_[:cap], certs[:cap]):
+        assert _aut.__wrapped__(cert)[0] == automorphism_count(g), g
 
 
 def test_automorphism_group_closed_forms():

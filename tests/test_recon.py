@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -206,24 +207,28 @@ def test_blocker_sets_match_enumeration_oracle_n5():
                 assert ext_route == enum_route
 
 
+def sub_multisets(deck):
+    """Every sub-multiset of the deck, the empty one included."""
+    items = deck.items()
+    for vec in product(*(range(m + 1) for _key, m in items)):
+        yield Deck({key: x for (key, _m), x in zip(items, vec) if x})
+
+
 def test_blocked_matches_blocker_decks_n5():
-    # every single card and the full deck, checked against each blocker's
-    # freshly built deck
-    for n in range(1, 6):
-        for g in enumerate_graphs(n):
-            if g.m < 1:
-                continue
-            for da in (False, True):
-                deck_of = da_edeck if da else edge_deck
-                deck = deck_of(g)
-                bdecks = [deck_of(h) for h in blockers(g, da)]
-                queries = [Deck({key: 1}) for key in deck] + [deck]
-                for cards in queries:
-                    want = any(
-                        all(bd.mult(key) >= x for key, x in cards.items())
-                        for bd in bdecks
-                    )
-                    assert blocked(g, cards, da) == want
+    # every sub-multiset of the deck, the empty one included, checked
+    # against each blocker's freshly built deck, for all graphs with n <= 5
+    # and all trees with n <= 8
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n) if g.m >= 1]
+    graphs += [t for n in range(6, 9) for t in enumerate_trees(n)]
+    for g in graphs:
+        for da in (False, True):
+            deck_of = da_edeck if da else edge_deck
+            bdecks = [deck_of(h) for h in blockers(g, da)]
+            for cards in sub_multisets(deck_of(g)):
+                want = any(
+                    all(bd.mult(key) >= x for key, x in cards.items()) for bd in bdecks
+                )
+                assert blocked(g, cards, da) == want, (g, da, cards)
 
 
 def test_blocker_multiplicities_match_built_decks():
@@ -235,11 +240,13 @@ def test_blocker_multiplicities_match_built_decks():
     for g in graphs:
         for da in (False, True):
             deck_of = da_edeck if da else edge_deck
-            deck, bdecks = recon._context(canonical_form(g), da)[:2]
-            for h, bd in bdecks.items():
+            deck = deck_of(g)
+            mults = recon._multiplicities(canonical_form(g), da)
+            assert list(mults) == sorted(mults)
+            for h, on_keys in mults.items():
                 built = deck_of(certificate_graph(h))
-                on_keys = {key: built.mult(key) for key in deck if key in built}
-                assert bd == Deck(on_keys)
+                expected = {key: built.mult(key) for key in deck if key in built}
+                assert Deck(on_keys) == Deck(expected)
 
 
 def sum_sq_degrees(g):
@@ -255,17 +262,18 @@ def test_da_context_is_the_plain_context_at_equal_degree_squares():
     graphs += [t for n in range(7, 10) for t in enumerate_trees(n)]
     for g in graphs:
         gcert = canonical_form(g)
-        deck, bdecks = recon._context(gcert, False)[:2]
-        da_deck, da_bdecks = recon._context(gcert, True)[:2]
+        deck, da_deck = edge_deck(g), da_edeck(g)
+        mults = recon._multiplicities(gcert, False)
+        da_mults = recon._multiplicities(gcert, True)
         assert [(key.card, m) for key, m in da_deck.items()] == deck.items()
         same_sq = [
-            h for h in bdecks
+            h for h in mults
             if sum_sq_degrees(certificate_graph(h)) == sum_sq_degrees(g)
         ]
-        assert list(da_bdecks) == same_sq
+        assert list(da_mults) == same_sq
         for h in same_sq:
-            on_cards = [(key.card, m) for key, m in da_bdecks[h].items()]
-            assert on_cards == bdecks[h].items()
+            on_cards = [(key.card, m) for key, m in da_mults[h].items()]
+            assert on_cards == list(mults[h].items())
 
 
 def test_blocked_rejects_cards_outside_own_deck():

@@ -392,6 +392,15 @@ def test_cli_sweep_exit_codes(tmp_path):
     assert out.returncode == 1 and "--limit" in out.stderr
 
 
+def test_cli_sweep_store_and_no_store_exclude_each_other(tmp_path):
+    path = tmp_path / "store.txt"
+    out = run_cli(
+        ["sweep", "--trees", "4", "--claim", "dern-le-2", "--no-store", "--store", str(path)]
+    )
+    assert out.returncode == 1 and "not allowed with argument" in out.stderr
+    assert out.stdout == "" and not path.exists()
+
+
 def test_cli_sweep_disconnected_scope(tmp_path):
     base = ["sweep", "--claim", "conj-2.1", "--no-store", "--disconnected"]
     out = run_cli(base + ["2:3"])
