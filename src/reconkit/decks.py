@@ -9,9 +9,18 @@ equality and containment into dictionary comparisons.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
-from .graphs import Certificate, Graph, GraphError, canonical_form
+from .graphs import (
+    Certificate,
+    Graph,
+    GraphError,
+    _aut,
+    _pair_orbits,
+    canonical_form,
+    certificate_graph,
+)
 
 __all__ = [
     "DaEcard",
@@ -78,26 +87,36 @@ class Deck:
         return f"Deck({{{inner}}})"
 
 
-def _deck(g: Graph, da: bool) -> Deck:
-    if g.m < 1:
+@lru_cache(maxsize=1 << 16)
+def _deck_of_cert(cert: Certificate, da: bool) -> tuple:
+    """The (da-)edeck of cert's class, and in its key order the card graph
+    labeled for each key.  The edges of one orbit of Aut(G) give the same
+    da-ecard, so one card per edge orbit of the canonical graph is labeled
+    and its key weighted by the orbit's size; the canonical graph itself is
+    never searched."""
+    if cert.m < 1:
         raise GraphError(f"{'da-edeck' if da else 'edge-deck'} of an edgeless graph")
-    entries: dict = {}
-    for u, v in g.edges():
-        key = canonical_form(g.remove_edge(u, v))
+    g = certificate_graph(cert)
+    entries, cards = {}, {}
+    for (u, v), size in _pair_orbits(_aut(cert)[1], g.edges()):
+        card = g.remove_edge(u, v)
+        key = canonical_form(card)
         if da:
             key = DaEcard(key, g.degree(u) + g.degree(v) - 2)
-        entries[key] = entries.get(key, 0) + 1
-    return Deck(entries)
+        entries[key] = entries.get(key, 0) + size
+        cards.setdefault(key, card)
+    deck = Deck(entries)
+    return deck, tuple(cards[key] for key in deck)
 
 
 def edge_deck(g: Graph) -> Deck:
     """Multiset of certificates of G - e over all edges e."""
-    return _deck(g, False)
+    return _deck_of_cert(canonical_form(g), False)[0]
 
 
 def da_edeck(g: Graph) -> Deck:
     """Multiset of (certificate of G - e, d(e)) pairs over all edges e."""
-    return _deck(g, True)
+    return _deck_of_cert(canonical_form(g), True)[0]
 
 
 def min_multiplicity(g: Graph) -> int:

@@ -484,6 +484,30 @@ def _orbit(autos, fixed, seeds) -> set:
     return orbit
 
 
+def _pair_orbits(gens, pairs):
+    """(first pair, orbit size) for each orbit of the group generated by
+    ``gens`` on ``pairs``, vertex pairs (u, v) with u < v that the group
+    maps onto themselves.  The pairs of one orbit give isomorphic graphs
+    when added or deleted, so callers label only the first (McKay,
+    Isomorph-free exhaustive generation, 1998)."""
+    seen = set()
+    for pair in pairs:
+        if pair in seen:
+            continue
+        orbit = {pair}
+        todo = [pair]
+        while todo:
+            u, v = todo.pop()
+            for gen in gens:
+                a, b = gen[u], gen[v]
+                image = (a, b) if a < b else (b, a)
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        seen |= orbit
+        yield pair, len(orbit)
+
+
 # Certificate -> the group found by the search that made it, first in first out
 _GROUPS_CAP = 1 << 16
 _groups: dict = {}

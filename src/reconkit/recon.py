@@ -4,9 +4,10 @@ A blocker for a collection of (da-)ecards of G is a graph H, not isomorphic
 to G, whose own deck contains the collection.  Because cards keep all
 vertices, any graph sharing a card C with G is C plus one edge, so scanning
 single-edge extensions of the deck's cards enumerates every possible
-blocker; each card class is scanned once.  Counting the pairs (edge e of H,
-isomorphism H - e -> C) two ways gives H's multiplicity on C without
-building H's deck:
+blocker.  The deck labels one card per orbit of Aut(G) on the edges, and
+each card class is scanned once, one non-edge per orbit of Aut(C).
+Counting the pairs (edge e of H, isomorphism H - e -> C) two ways gives
+H's multiplicity on C without building H's deck:
 
     m_H(C, d) = #{non-edges f of C of degree d : C + f = H} * |Aut H| / |Aut C|
 
@@ -25,7 +26,7 @@ from itertools import combinations
 from .decks import (
     DaEcard,
     Deck,
-    da_edeck,
+    _deck_of_cert,
     edge_deck,
     min_multiplicity,
 )
@@ -34,6 +35,7 @@ from .graphs import (
     Graph,
     GraphError,
     _aut,
+    _pair_orbits,
     canonical_form,
     certificate_graph,
     components,
@@ -81,10 +83,9 @@ def extensions(card: Graph, d: int | None = None) -> Deck:
     certificate order.  With d given, only pairs whose degrees sum to d, so
     the new edge has degree d in the extension.
 
-    The pairs are read on card's canonical graph, one per orbit of its
-    automorphism group, weighted by the orbit's size (McKay, Isomorph-free
-    exhaustive generation, 1998): the pairs of an orbit give isomorphic
-    graphs, so only one of them is labeled.  Cached per card class and d.
+    The pairs are read on card's canonical graph, one labeled per orbit of
+    its automorphism group (``graphs._pair_orbits``), weighted by the
+    orbit's size.  Cached per card class and d.
     """
     return _scan(canonical_form(card), d)
 
@@ -92,27 +93,15 @@ def extensions(card: Graph, d: int | None = None) -> Deck:
 @lru_cache(maxsize=1 << 14)
 def _scan(cert: Certificate, d: int | None) -> Deck:
     c = certificate_graph(cert)
-    gens = _aut(cert)[1]
     degs = c.degrees()
-    seen = set()
+    pairs = (
+        (u, v) for u, v in combinations(range(c.n), 2)
+        if not c.has_edge(u, v) and d in (None, degs[u] + degs[v])
+    )
     counts: dict = {}
-    for pair in combinations(range(c.n), 2):
-        u, v = pair
-        if pair in seen or c.has_edge(u, v) or (d is not None and degs[u] + degs[v] != d):
-            continue
-        orbit = {pair}
-        todo = [pair]
-        while todo:
-            u, v = todo.pop()
-            for gen in gens:
-                a, b = gen[u], gen[v]
-                image = (a, b) if a < b else (b, a)
-                if image not in orbit:
-                    orbit.add(image)
-                    todo.append(image)
-        seen |= orbit
+    for pair, size in _pair_orbits(_aut(cert)[1], pairs):
         key = canonical_form(c.add_edge(*pair))
-        counts[key] = counts.get(key, 0) + len(orbit)
+        counts[key] = counts.get(key, 0) + size
     return Deck(counts)
 
 
@@ -123,7 +112,7 @@ def determines(card: Graph, d: int, origin: Graph) -> bool:
     card determines origin exactly when it has one class of extension.
     """
     key = DaEcard(canonical_form(card), d)
-    if key not in _deck_of_cert(canonical_form(origin), True):
+    if key not in _deck_of_cert(canonical_form(origin), True)[0]:
         raise GraphError("(card, d) is not a da-ecard of origin")
     return len(extensions(card, d)) == 1
 
@@ -134,21 +123,16 @@ def blockers(g: Graph, da: bool) -> list:
     return [certificate_graph(c) for c in _context(canonical_form(g), da)[1]]
 
 
-@lru_cache(maxsize=1 << 16)
-def _deck_of_cert(cert: Certificate, da: bool) -> Deck:
-    g = certificate_graph(cert)
-    return da_edeck(g) if da else edge_deck(g)
-
-
 def _multiplicities(gcert: Certificate, da: bool) -> dict:
     """Each blocker's certificate, in increasing order, to its multiplicities
     on the class's own deck keys, by double counting (module docstring).
     Raises GraphError, from the deck, for an edgeless class."""
+    deck, cards = _deck_of_cert(gcert, da)
     mults: dict = {}
-    for key in _deck_of_cert(gcert, da):
+    for key, card_graph in zip(deck, cards):
         card, d = key if da else (key, None)
         card_order = _aut(card)[0]
-        for h, f in extensions(certificate_graph(card), d).items():
+        for h, f in extensions(card_graph, d).items():
             if h == gcert:
                 continue
             m, rest = divmod(f * _aut(h)[0], card_order)
@@ -167,7 +151,7 @@ def _context(gcert: Certificate, da: bool):
     index (per deck key, entry x - 1 has bit i set if blocker i reaches
     multiplicity x), the deck's largest overlap with a blocker's deck, and
     the first blocker reaching it with its multiplicities.  Per class."""
-    deck = _deck_of_cert(gcert, da)
+    deck = _deck_of_cert(gcert, da)[0]
     mults = _multiplicities(gcert, da)
     index = {key: [0] * deck.mult(key) for key in deck}
     max_shared, example = 0, None

@@ -64,49 +64,38 @@ def _num(value) -> str:
     return "indet" if value is None else str(value)
 
 
-def _parse_num(text: str):
-    if text == "indet":
-        return None
+def _decimal(text: str, least: int) -> int:
+    """An unsigned ASCII decimal of at least ``least``; ``int`` alone would
+    also take signs, spaces, underscores and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()) or int(text) < least:
+        raise ValueError(f"{text!r} is not a decimal of at least {least}")
     return int(text)
 
 
+def _parse_num(text: str):
+    return None if text == "indet" else _decimal(text, 1)
+
+
 def format_record(rec: ResultRecord) -> str:
-    return "\t".join(
-        [
-            rec.g6,
-            str(rec.n),
-            str(rec.m),
-            _num(rec.ern),
-            _num(rec.dern),
-            _num(rec.adv_ern),
-            _num(rec.adv_dern),
-            rec.witness,
-            str(rec.elapsed_ms),
-        ]
-    )
+    numbers = map(_num, (rec.ern, rec.dern, rec.adv_ern, rec.adv_dern))
+    fields = [rec.g6, rec.n, rec.m, *numbers, rec.witness, rec.elapsed_ms]
+    return "\t".join(map(str, fields))
 
 
 def parse_record(line: str) -> ResultRecord:
     """One record; a ValueError when a field is malformed or the graph6
-    text does not decode to a graph with the record's n and m."""
+    text does not decode to a graph with the record's n and m.  The four
+    numbers are decimals of at least 1 or "indet", and the elapsed
+    milliseconds a decimal."""
     parts = line.rstrip("\n").split("\t")
     if len(parts) != _FIELDS:
         raise ValueError(f"expected {_FIELDS} fields, got {len(parts)}")
     g6, n, m, ern, dern, adv_ern, adv_dern, witness, ms = parts
     g = parse_graph6(g6)
-    if (g.n, g.m) != (int(n), int(m)):
+    if (g.n, g.m) != (_decimal(n, 1), _decimal(m, 0)):
         raise ValueError(f"{g6!r} has n={g.n} m={g.m}, the record says n={n} m={m}")
-    return ResultRecord(
-        g6=g6,
-        n=g.n,
-        m=g.m,
-        ern=_parse_num(ern),
-        dern=_parse_num(dern),
-        adv_ern=_parse_num(adv_ern),
-        adv_dern=_parse_num(adv_dern),
-        witness=witness,
-        elapsed_ms=int(ms),
-    )
+    numbers = map(_parse_num, (ern, dern, adv_ern, adv_dern))
+    return ResultRecord(g6, g.n, g.m, *numbers, witness, _decimal(ms, 0))
 
 
 def store_append(path: str, rec: ResultRecord) -> None:

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .caterpillar import CaterpillarSeq, reductions, seq_of
-from .decks import DaEcard, Deck, edge_deck, sub_multiset
+from .decks import DaEcard, Deck, _deck_of_cert, edge_deck, sub_multiset
 from .families import (
     MAX_GRAPH_N,
     MAX_TREE_N,
@@ -34,7 +34,6 @@ from .graphs import (
     edge_degree,
 )
 from .recon import (
-    _deck_of_cert,
     _isomorphic_components,
     adv_recon_number,
     blocked,
@@ -327,5 +326,5 @@ def pair_certifies(t: Graph, cards) -> bool:
     """True iff the multiset of da-ecards lies in t's da-edeck and in no
     blocker's da-edeck."""
     need = Deck(Counter(cards))
-    deck = _deck_of_cert(canonical_form(t), True)
+    deck = _deck_of_cert(canonical_form(t), True)[0]
     return sub_multiset(need, deck) and not blocked(t, need, True)

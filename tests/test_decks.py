@@ -1,25 +1,32 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from reconkit import decks, graphs
 from reconkit import (
     DaEcard,
     Deck,
     Graph,
     GraphError,
     canonical_form,
+    certificate_graph,
     complete,
     complete_bipartite,
     cycle,
     da_edeck,
     disjoint_union,
     edge_deck,
+    enumerate_graphs,
+    enumerate_trees,
     format_deck,
     graph_union,
     intersection_size,
     min_multiplicity,
+    parse_family_spec,
     path,
     star,
     sub_multiset,
@@ -219,3 +226,57 @@ def test_key_order_and_repr():
     assert sorted(keys) == by_fields
     key = DaEcard(cert(P(3)), 1)
     assert repr(key) == "DaEcard(card=Certificate(n=3, m=2, code=3), d=1)"
+
+
+# --- decks from the automorphism group -----------------------------------------
+
+LADDER = [
+    "U:2*S:3", "U:3*S:3", "U:4*S:2", "U:5*K:2", "U:3*C:4", "U:2*Kpq:2,3",
+    "C:12", "C:13", "U:2*C:6",
+]
+
+
+def relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.permuted(perm)
+
+
+def per_edge_deck(g, da):
+    """The reference: every edge's card labeled on its own."""
+    return Deck(Counter(
+        DaEcard(cert(card), d) if da else cert(card) for card, d in oracles.da_ecards(g)
+    ))
+
+
+def test_orbit_built_decks_match_per_edge_reference():
+    # one card per edge orbit, weighted by the orbit's size, gives the deck
+    # that labeling every edge's card gives
+    rng = random.Random(14)
+    gs = [g for n in range(2, 8) for g in enumerate_graphs(n) if g.m >= 1]
+    gs += [t for n in range(2, 11) for t in enumerate_trees(n)]
+    gs += [parse_family_spec(spec) for spec in LADDER]
+    for g in gs:
+        g = relabeled(g, rng)
+        assert edge_deck(g) == per_edge_deck(g, False), g
+        assert da_edeck(g) == per_edge_deck(g, True), g
+
+
+def test_one_edge_orbit_deck_labels_one_card(monkeypatch):
+    # from a relabeled graph's certificate, with cold caches: the deck
+    # labels its one card and never searches the canonical graph
+    rng = random.Random(15)
+    calls = []
+    search = graphs._least_leaf_code
+    monkeypatch.setattr(graphs, "_least_leaf_code", lambda h: calls.append(h) or search(h))
+    for spec in ("C:12", "U:5*K:2", "U:2*C:6"):
+        monkeypatch.setattr(graphs, "_groups", {})
+        for cached in (canonical_form, graphs._aut, decks._deck_of_cert):
+            cached.cache_clear()
+        g = parse_family_spec(spec)
+        gcert = canonical_form(relabeled(g, rng))
+        calls.clear()
+        for da in (False, True):
+            ((_key, mult),) = decks._deck_of_cert(gcert, da)[0].items()
+            assert mult == g.m
+        assert len(calls) == 1 and calls[0] != certificate_graph(gcert), spec

@@ -4,8 +4,9 @@ from itertools import product
 import pytest
 
 import oracles
-from reconkit import recon
+from reconkit import graphs, recon
 from reconkit import (
+    Certificate,
     DaEcard,
     Deck,
     Graph,
@@ -28,6 +29,7 @@ from reconkit import (
     graph_union,
     intersection_size,
     is_tree_from_two_cards,
+    parse_family_spec,
     path,
     recon_number,
     star,
@@ -474,6 +476,39 @@ def test_relabeled_graph_reuses_blocker_context():
     after = recon._context.cache_info()
     assert after.misses == before.misses and after.hits > before.hits
     assert (again.value, again.witness) == (first.value, first.witness)
+
+
+def test_context_searches_no_canonical_graph_it_holds(monkeypatch):
+    # with cold caches, the context of a relabeled ladder graph labels each
+    # card on the deck's own card graph and reads every group from a
+    # record: no search is of the canonical graph of a certificate that
+    # the graph or an earlier search already gave
+    searched = []
+    search = graphs._least_leaf_code
+
+    def counted(h):
+        found = search(h)
+        searched.append((h, Certificate(h.n, h.m, found[0])))
+        return found
+
+    monkeypatch.setattr(graphs, "_least_leaf_code", counted)
+    rng = random.Random(16)
+    for spec in ("U:2*S:3", "U:4*S:2", "U:3*C:4", "U:2*Kpq:2,3", "C:12"):
+        monkeypatch.setattr(graphs, "_groups", {})
+        for cached in (canonical_form, graphs._aut, recon._deck_of_cert, recon._scan):
+            cached.cache_clear()
+        g = parse_family_spec(spec)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        gcert = canonical_form(g.permuted(perm))
+        known = {gcert}
+        searched.clear()
+        for da in (False, True):
+            recon._context.__wrapped__(gcert, da)
+        assert searched, spec
+        for h, c in searched:
+            assert h != certificate_graph(c) or c not in known, (spec, c)
+            known.add(c)
 
 
 # --- disjoint-union bound --------------------------------------------------------

@@ -67,7 +67,8 @@ def test_store_duplicates_and_corruption(tmp_path):
     assert len(records) == 1
     assert stats["duplicates"] == 1 and stats["corrupt"] == 1
     # the header, then the appended lines: appends never rewrite
-    assert sum(1 for _ in open(store)) == 4
+    with open(store) as fh:
+        assert sum(1 for _ in fh) == 4
 
 
 def test_store_rejects_malformed_graph6(tmp_path):
@@ -90,6 +91,31 @@ def test_store_rejects_malformed_graph6(tmp_path):
     records, stats = store_scan(store)
     assert records == [rec]
     assert stats == {"corrupt": len(bad), "duplicates": 0}
+
+
+def test_store_rejects_malformed_numbers(tmp_path):
+    # n, m and the elapsed milliseconds are unsigned ASCII decimals, and the
+    # four numbers decimals of at least 1 or "indet"; int() alone takes
+    # signs, spaces, underscores and other scripts' digits
+    store = tmp_path / "s.txt"
+    rec = rec_for(path(5))
+    store_append(store, rec)
+    fields = format_record(rec).split("\t")
+    malformed = ["-1", "+2", " 2", "2 ", "1_0", "\u0663", "2.0", ""]
+    bad = [(i, text) for i in (1, 2, 8) for text in malformed]
+    bad += [(i, text) for i in (3, 4, 5, 6) for text in malformed + ["0", "00"]]
+    lines = ["\t".join(fields[:i] + [text] + fields[i + 1:]) for i, text in bad]
+    for line in lines:
+        with pytest.raises(ValueError):
+            parse_record(line)
+    with open(store, "a", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    records, stats = store_scan(store)
+    assert records == [rec]
+    assert stats == {"corrupt": len(lines), "duplicates": 0}
+    # the smallest values that are well formed
+    for i, text in [(3, "indet"), (4, "1"), (8, "0")]:
+        assert parse_record("\t".join(fields[:i] + [text] + fields[i + 1:]))
 
 
 def test_store_header_names_certificate_scheme(tmp_path):
