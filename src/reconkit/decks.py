@@ -9,7 +9,6 @@ equality and containment into dictionary comparisons.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .graphs import (
@@ -87,7 +86,6 @@ class Deck:
         return f"Deck({{{inner}}})"
 
 
-@lru_cache(maxsize=1 << 16)
 def _deck_of_cert(cert: Certificate, da: bool) -> tuple:
     """The (da-)edeck of cert's class, and in its key order the card graph
     labeled for each key.  The edges of one orbit of Aut(G) give the same

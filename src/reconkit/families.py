@@ -16,11 +16,9 @@ from .graphs import (
     Certificate,
     Graph,
     GraphError,
-    _aut,
     _bits,
     _least_leaf_code,
     _orbit,
-    _remember,
     _require_size,
     canonical_graph,
     certificate_graph,
@@ -136,8 +134,10 @@ def spider(lengths) -> Graph:
 
 @lru_cache(maxsize=None)
 def _census(n: int, trees: bool) -> tuple:
-    """(certificate, canonical graph) of every graph, or every tree, on n
-    vertices, one per isomorphism class, in increasing certificate order.
+    """(certificate, graph, generators of Aut(graph)) of every graph, or
+    every tree, on n vertices, one per isomorphism class, in increasing
+    certificate order: the child the census built, in its own labels, and
+    its search's generators (bytes: n <= 32).
 
     Canonical augmentation (McKay, Isomorph-free exhaustive generation,
     1998): each class on n - 1 vertices gets a new vertex joined to one
@@ -147,10 +147,10 @@ def _census(n: int, trees: bool) -> tuple:
     made exactly once: from the class of the child minus that vertex.
     """
     if n == 1:
-        return ((Certificate(1, 0, 0), Graph.from_edges(1, [])),)
+        return ((Certificate(1, 0, 0), Graph.from_edges(1, []), ()),)
     new = n - 1
     found = []
-    for cert, parent in _census(new, trees):
+    for _cert, parent, pgens in _census(new, trees):
         degs = parent.degrees()
         least = min(degs)
         mins = sum(1 << v for v, d in enumerate(degs) if d == least)
@@ -161,21 +161,21 @@ def _census(n: int, trees: bool) -> tuple:
             for nb in ([1 << v for v in range(new)] if trees else range(1 << new))
             if nb.bit_count() <= least + (nb & mins == mins)
         ]
-        gens = _aut(cert)[1]  # each also permutes masks: degrees are invariant
-        images = [{x: sum(1 << p[v] for v in _bits(x)) for x in masks} for p in gens]
+        # each generator also permutes masks: degrees are invariant
+        images = [{x: sum(1 << p[v] for v in _bits(x)) for x in masks} for p in pgens]
         seen = set()
         for nb in masks:
             if nb in seen:
                 continue
             seen |= _orbit(images, (), [nb])
             child = parent.add_vertex(_bits(nb))
-            code, order, _path, gens = search = _least_leaf_code(child)
+            code, order, _path, gens = _least_leaf_code(child)
             low = nb.bit_count()
             canon = next(v for v in reversed(order) if child.rows[v].bit_count() == low)
             if canon == new or new in _orbit(gens, (), [canon]):
-                found.append(Certificate(n, parent.m + low, code))
-                _remember(found[-1], search)  # its group, for _aut
-    return tuple((c, certificate_graph(c)) for c in sorted(found))
+                cert = Certificate(n, parent.m + low, code)
+                found.append((cert, child, tuple(dict.fromkeys(map(bytes, gens)))))
+    return tuple(sorted(found, key=lambda entry: entry[0]))
 
 
 def enumerate_trees(n: int):
@@ -183,8 +183,8 @@ def enumerate_trees(n: int):
     class, in increasing certificate order."""
     if not 1 <= n <= MAX_TREE_N:
         raise GraphError(f"tree enumeration supports 1..{MAX_TREE_N}, got {n}")
-    for _cert, t in _census(n, True):
-        yield t
+    for cert, _t, _gens in _census(n, True):
+        yield certificate_graph(cert)
 
 
 def enumerate_graphs(n: int, m: int | None = None):
@@ -193,9 +193,9 @@ def enumerate_graphs(n: int, m: int | None = None):
     n is capped at oracle scale."""
     if not 1 <= n <= MAX_GRAPH_N:
         raise GraphError(f"graph enumeration supports 1..{MAX_GRAPH_N}, got {n}")
-    for cert, g in _census(n, False):
+    for cert, _g, _gens in _census(n, False):
         if m is None or cert.m == m:
-            yield g
+            yield certificate_graph(cert)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ I/O form: the store, the CLI and ``Certificate.canon`` read and write it.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -405,7 +406,7 @@ def _least_leaf_code(g: Graph) -> tuple:
     already explored.  Skipped subtrees are images of explored ones, so the
     least code over all leaves is found, and the leaf automorphisms with
     the twin transpositions generate Aut(g) with the first path as a base
-    (McKay & Piperno 2014): see ``_aut``.
+    (McKay & Piperno 2014): see ``_remember``.
     """
     n, rows = g.n, g.rows
     order = list(range(n))
@@ -508,21 +509,33 @@ def _pair_orbits(gens, pairs):
         yield pair, len(orbit)
 
 
-# Certificate -> the group found by the search that made it, first in first out
-_GROUPS_CAP = 1 << 16
-_groups: dict = {}
+# Certificate -> its group (see ``_remember``), least recently used out first
+_GROUPS_CAP = 1 << 17
+_groups: OrderedDict = OrderedDict()
 
 
-def _remember(cert: Certificate, search: tuple) -> bytes:
-    """The record of cert's group, kept once, from ``search``, a
-    ``_least_leaf_code`` result: the first path's length, the best leaf
-    order, the first path and the generators, in the searched labels."""
-    if cert not in _groups:
-        _code, order, path, gens = search
-        if len(_groups) >= _GROUPS_CAP:
-            del _groups[next(iter(_groups))]
-        _groups[cert] = bytes([len(path), *order, *path]) + b"".join(map(bytes, gens))
-    return _groups[cert]
+def _remember(cert: Certificate, search: tuple) -> tuple:
+    """cert's group, stored once from ``search``, the ``_least_leaf_code``
+    result that made cert: |Aut| of the canonical graph and generators as
+    permutations of its own vertices (bytes: n <= 32).  The generators
+    fixing the first k path vertices generate their pointwise stabilizer,
+    so |Aut| is the product over the path of each vertex's orbit under
+    those fixing the vertices before it (McKay & Piperno 2014).  The
+    canonical graph's vertex i is the searched graph's order[i]."""
+    if cert in _groups:
+        _groups.move_to_end(cert)
+        return _groups[cert]
+    _code, order, path, gens = search
+    gens = list(dict.fromkeys(map(bytes, gens)))
+    size = 1
+    for j, v in enumerate(path):
+        size *= len(_orbit(gens, path[:j], [v]))
+    pos = sorted(range(cert.n), key=order.__getitem__)  # pos[order[i]] = i
+    group = size, tuple(bytes(pos[gen[v]] for v in order) for gen in gens)
+    if len(_groups) >= _GROUPS_CAP:
+        _groups.popitem(last=False)
+    _groups[cert] = group
+    return group
 
 
 @lru_cache(maxsize=1 << 18)
@@ -535,28 +548,13 @@ def canonical_form(g: Graph) -> Certificate:
     return cert
 
 
-@lru_cache(maxsize=1 << 16)
 def _aut(cert: Certificate) -> tuple:
-    """|Aut| of the canonical graph of cert and generators of the group, as
-    permutations of that graph's own vertices (bytes: n <= 32).
-
-    The group is read from the record of the search that made cert; only
-    without one is the canonical graph searched.  The generators that fix
-    the first k path vertices generate their pointwise stabilizer, so the
-    order is the product over the path of the orbit of each vertex under
-    the generators that fix the vertices before it (McKay & Piperno 2014).
-    The canonical graph's vertex i is the searched graph's order[i].
-    """
-    n = cert.n
-    record = _groups.get(cert) or _remember(cert, _least_leaf_code(certificate_graph(cert)))
-    k = 1 + n + record[0]
-    order, path = record[1:1 + n], record[1 + n:k]
-    gens = list(dict.fromkeys(record[i:i + n] for i in range(k, len(record), n)))
-    size = 1
-    for j, v in enumerate(path):
-        size *= len(_orbit(gens, path[:j], [v]))
-    pos = sorted(range(n), key=order.__getitem__)  # pos[order[i]] = i
-    return size, tuple(bytes(pos[gen[v]] for v in order) for gen in gens)
+    """cert's group (see ``_remember``), read from the store; only without
+    an entry is the canonical graph searched."""
+    if cert not in _groups:
+        return _remember(cert, _least_leaf_code(certificate_graph(cert)))
+    _groups.move_to_end(cert)
+    return _groups[cert]
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -27,6 +27,7 @@ from .decks import (
     DaEcard,
     Deck,
     _deck_of_cert,
+    da_edeck,
     edge_deck,
     min_multiplicity,
 )
@@ -112,7 +113,7 @@ def determines(card: Graph, d: int, origin: Graph) -> bool:
     card determines origin exactly when it has one class of extension.
     """
     key = DaEcard(canonical_form(card), d)
-    if key not in _deck_of_cert(canonical_form(origin), True)[0]:
+    if key not in da_edeck(origin):
         raise GraphError("(card, d) is not a da-ecard of origin")
     return len(extensions(card, d)) == 1
 
@@ -123,10 +124,10 @@ def blockers(g: Graph, da: bool) -> list:
     return [certificate_graph(c) for c in _context(canonical_form(g), da)[1]]
 
 
-def _multiplicities(gcert: Certificate, da: bool) -> dict:
-    """Each blocker's certificate, in increasing order, to its multiplicities
-    on the class's own deck keys, by double counting (module docstring).
-    Raises GraphError, from the deck, for an edgeless class."""
+def _multiplicities(gcert: Certificate, da: bool) -> tuple:
+    """The class's (da-)edeck, and each blocker's certificate in increasing
+    order to its multiplicities on the deck's keys, by double counting
+    (module docstring); GraphError, from the deck, for an edgeless class."""
     deck, cards = _deck_of_cert(gcert, da)
     mults: dict = {}
     for key, card_graph in zip(deck, cards):
@@ -142,7 +143,7 @@ def _multiplicities(gcert: Certificate, da: bool) -> dict:
                     f" = {card_order}: a group order is wrong"
                 )
             mults.setdefault(h, {})[key] = m
-    return {h: mults[h] for h in sorted(mults)}
+    return deck, {h: mults[h] for h in sorted(mults)}
 
 
 @lru_cache(maxsize=4096)
@@ -150,9 +151,9 @@ def _context(gcert: Certificate, da: bool):
     """The class's (da-)edeck, its blockers' certificates, the ``blocked``
     index (per deck key, entry x - 1 has bit i set if blocker i reaches
     multiplicity x), the deck's largest overlap with a blocker's deck, and
-    the first blocker reaching it with its multiplicities.  Per class."""
-    deck = _deck_of_cert(gcert, da)[0]
-    mults = _multiplicities(gcert, da)
+    the first blocker reaching it with its multiplicities (None and {}
+    without blockers).  Per class."""
+    deck, mults = _multiplicities(gcert, da)
     index = {key: [0] * deck.mult(key) for key in deck}
     max_shared, example = 0, None
     for i, (h, on_keys) in enumerate(mults.items()):
@@ -162,7 +163,7 @@ def _context(gcert: Certificate, da: bool):
         shared = sum(min(m, deck.mult(key)) for key, m in on_keys.items())
         if shared > max_shared:
             max_shared, example = shared, h
-    return deck, tuple(mults), index, max_shared, example, mults.get(example)
+    return deck, tuple(mults), index, max_shared, example, mults.get(example, {})
 
 
 def blocked(g: Graph, cards: Deck, da: bool) -> bool:
@@ -207,22 +208,20 @@ def recon_number(g: Graph, da: bool = False) -> ReconResult:
         return ReconResult(None, (), max_shared, example)
     keys = deck.keys()
     mults = [deck.mult(key) for key in keys]
-    for k in range(1, deck.total + 1):
+    # no blocker shares more than max_shared cards, so the search ends there
+    for k in range(1, max_shared + 2):
         for vec in _witness_vectors(mults, k):
             chosen = tuple((key, x) for key, x in zip(keys, vec) if x)
             if not blocked(g, Deck(chosen), da):
                 return ReconResult(k, chosen, max_shared, example)
-    raise AssertionError("unreachable: full deck was not blocked")
 
 
 def adv_recon_number(g: Graph, da: bool = False) -> ReconResult:
     """Least k such that every k-sub-multiset of the deck is unblocked:
     1 + the largest deck intersection with any blocker."""
     deck, _hs, _index, max_shared, example, on_keys = _context(canonical_form(g), da)
-    if example is None:
-        return ReconResult(max_shared + 1, (), max_shared, None)
-    example = certificate_graph(example)
-    if max_shared >= deck.total:
+    example = None if example is None else certificate_graph(example)
+    if max_shared == deck.total:
         return ReconResult(None, (), max_shared, example)
     overlap = ((key, min(m, on_keys.get(key, 0))) for key, m in deck.items())
     witness = tuple((key, x) for key, x in overlap if x)

@@ -5,12 +5,15 @@ cert=<scheme>``, naming the certificate scheme whose canonical graph6 keys
 the records; stores written before headers existed have none and were
 keyed by the lex-min labeler.  Record fields: canonical graph6, n, m, ern,
 dern, adv_ern, adv_dern, witness, elapsed milliseconds.  Indeterminate
-numbers are stored as "indet"; the witness is a ";"-joined list of
-"mult x d x graph6" entries using the '×' separator, which never occurs
-in graph6 text.  A record counts only once its newline is written, so a
-line torn by a crash is corrupt, and so is a line whose graph6 does not
-decode to a graph with its n and m.  Scanning skips corrupt lines with a
-warning count and deduplicates by certificate, last write winning.
+numbers are stored as "indet"; the witness is "-" exactly when dern is,
+and otherwise a ";"-joined list of "mult x d x graph6" entries using the
+'×' separator, which never occurs in graph6 text: each card has the
+record's n and m - 1 edges, and the multiplicities sum to dern.  A record
+counts only once its newline is written, so a line torn by a crash is
+corrupt, and so is a line whose graph6 does not decode to a graph with
+its n and m, or whose witness does not fit dern.  Scanning skips corrupt
+lines with a warning count and deduplicates by certificate, last write
+winning.
 """
 
 from __future__ import annotations
@@ -82,11 +85,31 @@ def format_record(rec: ResultRecord) -> str:
     return "\t".join(map(str, fields))
 
 
+def _check_witness(text: str, n: int, m: int, dern) -> None:
+    """ValueError unless text is "-" with dern indet, or entries of
+    ``mult×d×g6`` (mult >= 1, d >= 0) whose cards have n vertices and m - 1
+    edges and whose multiplicities sum to dern."""
+    if (dern is None) != (text == "-"):
+        raise ValueError(f"witness {text!r} does not fit dern={_num(dern)}")
+    if dern is None:
+        return
+    total = 0
+    for entry in text.split(";"):
+        mult, d, g6 = entry.split("×")
+        card = parse_graph6(g6)
+        if (card.n, card.m) != (n, m - 1):
+            raise ValueError(f"card {g6!r} is not a card of a graph with n={n} m={m}")
+        _decimal(d, 0)
+        total += _decimal(mult, 1)
+    if total != dern:
+        raise ValueError(f"witness multiplicities sum to {total}, not dern={dern}")
+
+
 def parse_record(line: str) -> ResultRecord:
-    """One record; a ValueError when a field is malformed or the graph6
-    text does not decode to a graph with the record's n and m.  The four
-    numbers are decimals of at least 1 or "indet", and the elapsed
-    milliseconds a decimal."""
+    """One record; a ValueError when a field is malformed, the graph6 text
+    does not decode to a graph with the record's n and m, or the witness
+    does not fit dern.  The four numbers are decimals of at least 1 or
+    "indet", and the elapsed milliseconds a decimal."""
     parts = line.rstrip("\n").split("\t")
     if len(parts) != _FIELDS:
         raise ValueError(f"expected {_FIELDS} fields, got {len(parts)}")
@@ -94,7 +117,8 @@ def parse_record(line: str) -> ResultRecord:
     g = parse_graph6(g6)
     if (g.n, g.m) != (_decimal(n, 1), _decimal(m, 0)):
         raise ValueError(f"{g6!r} has n={g.n} m={g.m}, the record says n={n} m={m}")
-    numbers = map(_parse_num, (ern, dern, adv_ern, adv_dern))
+    numbers = list(map(_parse_num, (ern, dern, adv_ern, adv_dern)))
+    _check_witness(witness, g.n, g.m, numbers[1])
     return ResultRecord(g6, g.n, g.m, *numbers, witness, _decimal(ms, 0))
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .caterpillar import CaterpillarSeq, reductions, seq_of
-from .decks import DaEcard, Deck, _deck_of_cert, edge_deck, sub_multiset
+from .decks import DaEcard, Deck, da_edeck, edge_deck, sub_multiset
 from .families import (
     MAX_GRAPH_N,
     MAX_TREE_N,
@@ -326,5 +326,4 @@ def pair_certifies(t: Graph, cards) -> bool:
     """True iff the multiset of da-ecards lies in t's da-edeck and in no
     blocker's da-edeck."""
     need = Deck(Counter(cards))
-    deck = _deck_of_cert(canonical_form(t), True)[0]
-    return sub_multiset(need, deck) and not blocked(t, need, True)
+    return sub_multiset(need, da_edeck(t)) and not blocked(t, need, True)

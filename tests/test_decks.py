@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -270,9 +270,8 @@ def test_one_edge_orbit_deck_labels_one_card(monkeypatch):
     search = graphs._least_leaf_code
     monkeypatch.setattr(graphs, "_least_leaf_code", lambda h: calls.append(h) or search(h))
     for spec in ("C:12", "U:5*K:2", "U:2*C:6"):
-        monkeypatch.setattr(graphs, "_groups", {})
-        for cached in (canonical_form, graphs._aut, decks._deck_of_cert):
-            cached.cache_clear()
+        monkeypatch.setattr(graphs, "_groups", OrderedDict())
+        canonical_form.cache_clear()
         g = parse_family_spec(spec)
         gcert = canonical_form(relabeled(g, rng))
         calls.clear()

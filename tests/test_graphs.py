@@ -1,5 +1,6 @@
 import math
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -216,23 +217,29 @@ def orbits(n, gens) -> set:
 
 
 def test_aut_reads_the_group_of_the_search_that_made_the_certificate(monkeypatch):
-    # after canonical_form's search of a relabeled graph, or the census's
-    # search of a kept child, _aut runs no search: it reads the group
-    # that search recorded
-    monkeypatch.setattr(graphs, "_groups", {})
+    # after canonical_form's search of a relabeled graph, _aut runs no
+    # search: it reads the group that search stored
+    monkeypatch.setattr(graphs, "_groups", OrderedDict())
     calls = count_searches(monkeypatch)
     rng = random.Random(4)
     for g in (g for n in range(1, 8) for g in enumerate_graphs(n)):
         cert = canonical_form.__wrapped__(relabeled(g, rng))
         calls.clear()
-        assert _aut.__wrapped__(cert)[0] == automorphism_count(g), g
+        assert _aut(cert)[0] == automorphism_count(g), g
         assert calls == []
-    monkeypatch.setattr(graphs, "_groups", {})
-    for n, trees in [(n, False) for n in range(2, 8)] + [(n, True) for n in range(2, 10)]:
-        for cert, _g in families._census.__wrapped__(n, trees):
-            calls.clear()
-            _aut.__wrapped__(cert)
-            assert calls == [], cert
+    # a cold census stores no group: it keeps each class's graph with the
+    # generators of that graph's own search
+    monkeypatch.setattr(graphs, "_groups", OrderedDict())
+    families._census.cache_clear()
+    levels = [(n, False) for n in range(1, 8)] + [(n, True) for n in range(1, 10)]
+    censuses = [families._census(n, trees) for n, trees in levels]
+    assert not graphs._groups
+    for (n, _trees), census in zip(levels, censuses):
+        for cert, g, gens in census:
+            assert canonical_form.__wrapped__(g) == cert
+            for gen in gens:
+                assert sorted(gen) == list(range(n))
+                assert g.permuted(list(gen)) == g, (cert, gen)
 
 
 def test_aut_without_a_record_searches_the_canonical_graph(monkeypatch):
@@ -244,12 +251,12 @@ def test_aut_without_a_record_searches_the_canonical_graph(monkeypatch):
         for n in range(1, 8)
         for g in enumerate_graphs(n)
     ]
-    recorded = [_aut.__wrapped__(cert) for cert in certs]
-    monkeypatch.setattr(graphs, "_groups", {})
+    recorded = [_aut(cert) for cert in certs]
+    monkeypatch.setattr(graphs, "_groups", OrderedDict())
     calls = count_searches(monkeypatch)
     for cert, (order, gens) in zip(certs, recorded):
         calls.clear()
-        fresh_order, fresh_gens = _aut.__wrapped__(cert)
+        fresh_order, fresh_gens = _aut(cert)
         assert calls == [certificate_graph(cert)]
         assert fresh_order == order == automorphism_count(certificate_graph(cert))
         assert orbits(cert.n, fresh_gens) == orbits(cert.n, gens)
@@ -259,7 +266,7 @@ def test_aut_without_a_record_searches_the_canonical_graph(monkeypatch):
 def test_group_store_stays_within_its_cap(monkeypatch):
     cap = 40
     monkeypatch.setattr(graphs, "_GROUPS_CAP", cap)
-    monkeypatch.setattr(graphs, "_groups", {})
+    monkeypatch.setattr(graphs, "_groups", OrderedDict())
     rng = random.Random(6)
     graphs_ = [g for n in range(1, 7) for g in enumerate_graphs(n)]
     assert len(graphs_) > 3 * cap
@@ -267,7 +274,7 @@ def test_group_store_stays_within_its_cap(monkeypatch):
     for g in graphs_:
         certs.append(canonical_form.__wrapped__(relabeled(g, rng)))
         assert len(graphs._groups) <= cap
-    assert list(graphs._groups) == certs[-cap:]  # first in, first out
+    assert list(graphs._groups) == certs[-cap:]  # least recently used out first
     # a certificate whose group is kept gets no second record
     kept = dict(graphs._groups)
     for g in graphs_[-cap:]:
@@ -275,7 +282,16 @@ def test_group_store_stays_within_its_cap(monkeypatch):
     assert all(graphs._groups[c] is kept[c] for c in kept)
     # an evicted certificate still gets its group, by a search of its own
     for g, cert in zip(graphs_[:cap], certs[:cap]):
-        assert _aut.__wrapped__(cert)[0] == automorphism_count(g), g
+        assert _aut(cert)[0] == automorphism_count(g), g
+
+
+def test_group_store_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(graphs, "_GROUPS_CAP", 3)
+    monkeypatch.setattr(graphs, "_groups", OrderedDict())
+    c3, c4, c5 = (canonical_form.__wrapped__(cycle(n)) for n in (3, 4, 5))
+    _aut(c3)  # a read makes C_3's group the most recently used
+    c6 = canonical_form.__wrapped__(cycle(6))
+    assert list(graphs._groups) == [c5, c3, c6]
 
 
 def test_automorphism_group_closed_forms():

@@ -2,6 +2,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import OrderedDict
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +18,7 @@ from reconkit import (
     path,
     star,
 )
+from reconkit import graphs, recon
 from reconkit.families import _FAMILIES
 from reconkit.graphs import MAX_VERTICES
 from reconkit.store import (
@@ -118,6 +121,36 @@ def test_store_rejects_malformed_numbers(tmp_path):
         assert parse_record("\t".join(fields[:i] + [text] + fields[i + 1:]))
 
 
+def test_store_rejects_witnesses_that_do_not_fit(tmp_path):
+    # the witness is "-" exactly when dern is indet; otherwise its entries
+    # are mult×d×g6 with decimals mult >= 1 and d >= 0, each card has the
+    # record's n and m - 1 edges, and the multiplicities sum to dern
+    store = tmp_path / "s.txt"
+    rec = rec_for(path(5))
+    store_append(store, rec)
+    fields = format_record(rec).split("\t")
+    assert fields[4] == "1" and fields[7] == "1×1×D@S"
+
+    def line(dern, witness):
+        return "\t".join(fields[:4] + [dern] + fields[5:7] + [witness] + fields[8:])
+
+    witnesses = [
+        "zzz", "1×1×Cz", "5×1×D@S", "1×x×D@S", "-", "", "0×1×D@S", "1×-×D@S",
+        "1×-1×D@S", "+1×1×D@S", "1×1×D@S;", "1×1×D@S×1", "1×1×DBg",
+        "1×1×D@S;1×1×D@S",
+    ]
+    lines = [line("1", w) for w in witnesses] + [line("indet", "1×1×D@S")]
+    for bad in lines:
+        with pytest.raises(ValueError):
+            parse_record(bad)
+    with open(store, "a", encoding="utf-8") as fh:
+        fh.writelines(bad + "\n" for bad in lines)
+    records, stats = store_scan(store)
+    assert records == [rec]
+    assert stats == {"corrupt": len(lines), "duplicates": 0}
+    assert parse_record(line("indet", "-")).witness == "-"
+
+
 def test_store_header_names_certificate_scheme(tmp_path):
     store = tmp_path / "s.txt"
     store_append(store, rec_for(path(4)))
@@ -201,6 +234,29 @@ def test_tree_sweep_counts_and_claim(tmp_path):
     report = sweep_trees(9, "dern-le-2", str(store))
     assert len(report.records) == 47
     assert report.violations == [] and not report.failed
+
+
+def test_small_group_store_writes_the_same_records(monkeypatch):
+    # with the group store capped at 64, a cold sweep_trees(9) evicts groups
+    # least recently used first and _aut searches the canonical graph of an
+    # evicted certificate again; the numbers and witnesses are unchanged
+    searches = []
+    search = graphs._least_leaf_code
+    monkeypatch.setattr(graphs, "_least_leaf_code", lambda g: searches.append(g) or search(g))
+
+    def cold_records():
+        monkeypatch.setattr(graphs, "_groups", OrderedDict())
+        for cached in (canonical_form, recon._scan, recon._context):
+            cached.cache_clear()
+        searches.clear()
+        report = sweep_trees(9, "dern-le-2", None)
+        return [replace(r, elapsed_ms=0) for r in report.records], len(searches)
+
+    records, default_searches = cold_records()
+    monkeypatch.setattr(graphs, "_GROUPS_CAP", 64)
+    small_cap_records, small_cap_searches = cold_records()
+    assert small_cap_records == records
+    assert len(graphs._groups) == 64 and small_cap_searches > default_searches
 
 
 def test_census_claim_lists_expected_trees(tmp_path):
