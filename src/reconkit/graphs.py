@@ -538,7 +538,7 @@ def _remember(cert: Certificate, search: tuple) -> tuple:
     return group
 
 
-@lru_cache(maxsize=1 << 18)
+@lru_cache(maxsize=1 << 12)
 def canonical_form(g: Graph) -> Certificate:
     """Certificate of g; equal across all relabelings, distinct across
     non-isomorphic graphs."""

@@ -86,24 +86,23 @@ def extensions(card: Graph, d: int | None = None) -> Deck:
 
     The pairs are read on card's canonical graph, one labeled per orbit of
     its automorphism group (``graphs._pair_orbits``), weighted by the
-    orbit's size.  Cached per card class and d.
+    orbit's size.  One scan per card class serves every d.
     """
-    return _scan(canonical_form(card), d)
+    return _scan(canonical_form(card)).get(d, Deck({}))
 
 
 @lru_cache(maxsize=1 << 14)
-def _scan(cert: Certificate, d: int | None) -> Deck:
+def _scan(cert: Certificate) -> dict:
     c = certificate_graph(cert)
     degs = c.degrees()
-    pairs = (
-        (u, v) for u, v in combinations(range(c.n), 2)
-        if not c.has_edge(u, v) and d in (None, degs[u] + degs[v])
-    )
+    pairs = (p for p in combinations(range(c.n), 2) if not c.has_edge(*p))
     counts: dict = {}
-    for pair, size in _pair_orbits(_aut(cert)[1], pairs):
-        key = canonical_form(c.add_edge(*pair))
-        counts[key] = counts.get(key, 0) + size
-    return Deck(counts)
+    for (u, v), size in _pair_orbits(_aut(cert)[1], pairs):
+        key = canonical_form(c.add_edge(u, v))
+        for d in (None, degs[u] + degs[v]):
+            by_key = counts.setdefault(d, {})
+            by_key[key] = by_key.get(key, 0) + size
+    return {d: Deck(by_key) for d, by_key in counts.items()}
 
 
 def determines(card: Graph, d: int, origin: Graph) -> bool:

@@ -18,6 +18,8 @@ winning.
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -163,17 +165,27 @@ def check_store_scheme(path: str) -> None:
 
 _FILTER_RE = re.compile(r"^\s*(\w+)\s*(>=|<=|!=|=|>|<)\s*(\S+)\s*$")
 _FILTER_FIELDS = {"n", "m", "ern", "dern", "adv_ern", "adv_dern", "elapsed_ms"}
+_FILTER_OPS = {
+    ">=": operator.ge,
+    "<=": operator.le,
+    "=": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    "<": operator.lt,
+}
 
 
 def _filter_value(text: str):
     """A filter's value as a float, 'indet' as +infinity; None when text
-    is not a number."""
+    is not a number, or is NaN, which no value compares equal to or
+    ordered with."""
     if text == "indet":
         return float("inf")
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return None
+    return None if math.isnan(value) else value
 
 
 def parse_filter(expr: str):
@@ -187,20 +199,13 @@ def parse_filter(expr: str):
     target = _filter_value(raw)
     if field not in _FILTER_FIELDS or target is None:
         raise ValueError(f"bad filter {expr!r}; fields: {sorted(_FILTER_FIELDS)}")
+    compare = _FILTER_OPS[op]
 
-    def value(rec):
+    def predicate(rec):
         v = getattr(rec, field)
-        return float("inf") if v is None else float(v)
+        return compare(float("inf") if v is None else float(v), target)
 
-    ops = {
-        ">=": lambda v: v >= target,
-        "<=": lambda v: v <= target,
-        "=": lambda v: v == target,
-        "!=": lambda v: v != target,
-        ">": lambda v: v > target,
-        "<": lambda v: v < target,
-    }
-    return lambda rec: ops[op](value(rec))
+    return predicate
 
 
 def store_scan(path: str, filter_expr: str | None = None):

@@ -37,6 +37,7 @@ from reconkit import (
     sub_multiset,
     union_bound,
 )
+from reconkit.sweep import evaluate_graph
 
 
 def P(n):
@@ -86,7 +87,7 @@ def test_extensions_are_the_certificates_of_the_labeled_extensions():
             degs = g.degrees()
             for u, v in g.edges():
                 card = g.remove_edge(u, v)
-                for d in (None, degs[u] + degs[v] - 2):
+                for d in (None, *range(2 * n - 3)):
                     exts = extensions(card, d).keys()
                     assert all(a < b for a, b in zip(exts, exts[1:]))
                     want = {canonical_form(h) for h in oracles.one_edge_extensions(card, d)}
@@ -510,6 +511,20 @@ def test_context_searches_no_canonical_graph_it_holds(monkeypatch):
         for h, c in searched:
             assert h != certificate_graph(c) or c not in known, (spec, c)
             known.add(c)
+
+
+def test_each_card_class_is_scanned_once(monkeypatch):
+    # with cold caches, evaluating every tree on 9 vertices scans each card
+    # class once, for ern and for every degree of dern alike
+    monkeypatch.setattr(graphs, "_groups", OrderedDict())
+    for cached in (canonical_form, recon._scan, recon._context):
+        cached.cache_clear()
+    trees = list(enumerate_trees(9))
+    for t in trees:
+        evaluate_graph(t)
+    cards = {key.card for t in trees for key in da_edeck(t)}
+    info = recon._scan.cache_info()
+    assert info.misses == info.currsize == len(cards)
 
 
 # --- disjoint-union bound --------------------------------------------------------

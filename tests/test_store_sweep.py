@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
@@ -18,7 +19,7 @@ from reconkit import (
     path,
     star,
 )
-from reconkit import graphs, recon
+from reconkit import decks, graphs, recon
 from reconkit.families import _FAMILIES
 from reconkit.graphs import MAX_VERTICES
 from reconkit.store import (
@@ -209,8 +210,9 @@ def test_store_filter_reads_indet_and_rejects_other_words(tmp_path):
         store_append(store, rec)
     records, _ = store_scan(store, "dern=indet")
     assert records == [indet]
-    with pytest.raises(ValueError, match="bad filter"):
-        store_scan(store, "dern>=x")
+    for bad in ("dern>=x", "dern>=nan", "n=NaN"):
+        with pytest.raises(ValueError, match="bad filter"):
+            store_scan(store, bad)
 
 
 def test_indeterminate_round_trips(tmp_path):
@@ -257,6 +259,31 @@ def test_small_group_store_writes_the_same_records(monkeypatch):
     small_cap_records, small_cap_searches = cold_records()
     assert small_cap_records == records
     assert len(graphs._groups) == 64 and small_cap_searches > default_searches
+
+
+def test_small_label_cache_writes_the_same_records(monkeypatch):
+    # with canonical_form's cache capped at 64 in every module that binds
+    # it, a cold sweep_trees(9) evicts labels and searches graphs again;
+    # the numbers and witnesses are unchanged
+    searches = []
+    search = graphs._least_leaf_code
+    monkeypatch.setattr(graphs, "_least_leaf_code", lambda g: searches.append(g) or search(g))
+
+    def cold_records():
+        monkeypatch.setattr(graphs, "_groups", OrderedDict())
+        for cached in (graphs.canonical_form, recon._scan, recon._context):
+            cached.cache_clear()
+        searches.clear()
+        report = sweep_trees(9, "dern-le-2", None)
+        return [replace(r, elapsed_ms=0) for r in report.records], len(searches)
+
+    records, default_searches = cold_records()
+    small = lru_cache(64)(graphs.canonical_form.__wrapped__)
+    for module in (graphs, decks, recon, sweep_module):
+        monkeypatch.setattr(module, "canonical_form", small)
+    small_cap_records, small_cap_searches = cold_records()
+    assert small_cap_records == records
+    assert small.cache_info().currsize == 64 and small_cap_searches > default_searches
 
 
 def test_census_claim_lists_expected_trees(tmp_path):
