@@ -4,11 +4,17 @@ The five classic constructors return canonical representatives so that
 repeated runs print identical labels.  Caterpillars, spiders, and disjoint
 unions keep their natural construction labels (spine first, center first,
 blocks in order), which the sequence and deck machinery rely on.
+
+Both enumerators yield one canonical graph per isomorphism class in
+increasing certificate order.  Graphs come from canonical augmentation,
+which labels every candidate child; trees come from level sequences,
+which make each tree exactly once, so each tree is labeled once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .caterpillar import CaterpillarSeq
 from .graphs import (
@@ -20,6 +26,7 @@ from .graphs import (
     _least_leaf_code,
     _orbit,
     _require_size,
+    canonical_form,
     canonical_graph,
     certificate_graph,
     parse_graph6,
@@ -41,7 +48,7 @@ __all__ = [
     "resolve_graph_input",
 ]
 
-MAX_TREE_N = 12
+MAX_TREE_N = 16
 MAX_GRAPH_N = 8
 
 
@@ -133,33 +140,31 @@ def spider(lengths) -> Graph:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _census(n: int, trees: bool) -> tuple:
-    """(certificate, graph, generators of Aut(graph)) of every graph, or
-    every tree, on n vertices, one per isomorphism class, in increasing
-    certificate order: the child the census built, in its own labels, and
-    its search's generators (bytes: n <= 32).
+def _census(n: int) -> tuple:
+    """(certificate, graph, generators of Aut(graph)) of every graph on n
+    vertices, one per isomorphism class, in increasing certificate order:
+    the child the census built, in its own labels, and its search's
+    generators (bytes: n <= 32).
 
     Canonical augmentation (McKay, Isomorph-free exhaustive generation,
     1998): each class on n - 1 vertices gets a new vertex joined to one
-    vertex set per orbit of its automorphism group, one vertex for trees.
-    A child is kept when the new vertex is in the orbit of its canonical
-    vertex, the last of least degree in canonical order, so each class is
-    made exactly once: from the class of the child minus that vertex.
+    vertex set per orbit of its automorphism group.  A child is kept when
+    the new vertex is in the orbit of its canonical vertex, the last of
+    least degree in canonical order, so each class is made exactly once:
+    from the class of the child minus that vertex.
     """
     if n == 1:
         return ((Certificate(1, 0, 0), Graph.from_edges(1, []), ()),)
     new = n - 1
     found = []
-    for _cert, parent, pgens in _census(new, trees):
+    for _cert, parent, pgens in _census(new):
         degs = parent.degrees()
         least = min(degs)
         mins = sum(1 << v for v, d in enumerate(degs) if d == least)
         # as in nauty's geng, before labeling: the new vertex has least degree,
         # so at most the old least, or one more if joined to all of that degree
         masks = [
-            nb
-            for nb in ([1 << v for v in range(new)] if trees else range(1 << new))
-            if nb.bit_count() <= least + (nb & mins == mins)
+            nb for nb in range(1 << new) if nb.bit_count() <= least + (nb & mins == mins)
         ]
         # each generator also permutes masks: degrees are invariant
         images = [{x: sum(1 << p[v] for v in _bits(x)) for x in masks} for p in pgens]
@@ -178,12 +183,93 @@ def _census(n: int, trees: bool) -> tuple:
     return tuple(sorted(found, key=lambda entry: entry[0]))
 
 
+def _next_rooted(levels: list, p: int) -> None:
+    """Beyer & Hedetniemi's successor (Constant time generation of rooted
+    trees, 1980), in place: the greatest level sequence that agrees with
+    ``levels`` before p and is less at p.  Vertex p moves one level up,
+    beside its parent q, and every later vertex copies the level of the
+    vertex p - q places before it, so the tail repeats q's subtree."""
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    for i in range(p, len(levels)):
+        levels[i] = levels[i - p + q]
+
+
+def _level_sequences(n: int):
+    """One level sequence per free tree on n vertices: levels[v] is v's
+    depth below the root, vertex 0, and v's parent is the last vertex
+    before v one level up.  No tree is labeled.
+
+    Wright, Richmond, Odlyzko & McKay (Constant time generation of free
+    trees, 1986): rooted trees come in decreasing lexicographic order of
+    their canonical sequences, in which each subtree comes before its
+    smaller siblings, from the path rooted at its centre down to the star.
+    A tree is kept when its root is a centre and, for two centres, the
+    right one.  Split it into the root's first subtree F, the deepest, and
+    the rest R, the root with its other subtrees: F may reach at most one
+    level deeper than R, and when it does, the edge to F is the central
+    edge, and the root is kept only if F is smaller than R, or as large
+    with F's sequence at most R's.  While F stays the same, R keeps its
+    size and every later R is lower in the order and no deeper, so a
+    rejected tree jumps to the next F.  A jump that leaves the root one
+    subtree ends the sequence in the shortest R that makes the root a
+    centre: a path as deep as F.
+    """
+    if n <= 2:
+        yield tuple(range(n))
+        return
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        split = next((v for v in range(2, n) if levels[v] == 1), n)
+        first = [level - 1 for level in levels[1:split]]
+        rest = [0] + levels[split:]
+        if max(rest) > max(first) or (
+            max(rest) == max(first) and (len(first), first) <= (len(rest), rest)
+        ):
+            yield tuple(levels)
+            p = max((v for v in range(n) if levels[v] > 1), default=0)
+            if p == 0:
+                return  # the star
+            _next_rooted(levels, p)
+        else:
+            p = split - 1
+            inside = levels[p] > 2  # the copied tail stays below F
+            _next_rooted(levels, p)
+            if inside:
+                depth = max(levels)
+                levels[n - depth:] = range(1, depth + 1)
+
+
+def _tree(levels) -> Graph:
+    """The tree of a level sequence, in its vertex order."""
+    n = len(levels)
+    rows = [0] * n
+    last = [0] * n  # last[d]: the latest vertex so far at depth d
+    for v in range(1, n):
+        u = last[levels[v] - 1]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        last[levels[v]] = v
+    return Graph._raw(n, tuple(rows))
+
+
+@lru_cache(maxsize=None)
+def _trees(n: int) -> tuple:
+    """(certificate, tree) of every tree on n vertices, one per isomorphism
+    class, in increasing certificate order.  Each tree keeps the labels of
+    its level sequence and is labeled once, by ``canonical_form``, which
+    also stores its automorphism group."""
+    pairs = ((canonical_form(t), t) for t in map(_tree, _level_sequences(n)))
+    return tuple(sorted(pairs, key=itemgetter(0)))
+
+
 def enumerate_trees(n: int):
     """All free trees on n vertices, one canonical graph per isomorphism
     class, in increasing certificate order."""
     if not 1 <= n <= MAX_TREE_N:
         raise GraphError(f"tree enumeration supports 1..{MAX_TREE_N}, got {n}")
-    for cert, _t, _gens in _census(n, True):
+    for cert, _t in _trees(n):
         yield certificate_graph(cert)
 
 
@@ -193,7 +279,7 @@ def enumerate_graphs(n: int, m: int | None = None):
     n is capped at oracle scale."""
     if not 1 <= n <= MAX_GRAPH_N:
         raise GraphError(f"graph enumeration supports 1..{MAX_GRAPH_N}, got {n}")
-    for cert, _g, _gens in _census(n, False):
+    for cert, _g, _gens in _census(n):
         if m is None or cert.m == m:
             yield certificate_graph(cert)
 

@@ -19,10 +19,10 @@ from .decks import DaEcard, Deck, da_edeck, edge_deck, sub_multiset
 from .families import (
     MAX_GRAPH_N,
     MAX_TREE_N,
+    _trees,
     caterpillar_graph,
     disjoint_union,
     enumerate_graphs,
-    enumerate_trees,
     parse_family_spec,
 )
 from .graphs import (
@@ -243,8 +243,14 @@ def _sweep_tree_scope(
         raise GraphError(f"{label} sweep needs 2 <= n <= {MAX_TREE_N}, got {n}")
     if n > DEFAULT_TREE_CAP and not force:
         raise GraphError(f"{label} sweep capped at n={DEFAULT_TREE_CAP}; use force")
-    graphs = filter(keep, enumerate_trees(n))
-    return _run_sweep(f"{label}s n={n}", graphs, claim, store_path)
+
+    def graphs():
+        # the trees _trees labeled, so canonical_form finds them in its cache
+        for _cert, t in _trees(n):
+            if keep(t):
+                yield t
+
+    return _run_sweep(f"{label}s n={n}", graphs(), claim, store_path)
 
 
 def sweep_trees(

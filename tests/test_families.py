@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    ahu_code,
     exhaustive_isomorphic,
     iso_classes_by_permutation,
     labeled_graphs,
@@ -34,6 +35,7 @@ from reconkit import (
     star,
     write_graph6,
 )
+from reconkit import families, graphs
 from reconkit.graphs import MAX_VERTICES
 
 
@@ -130,7 +132,47 @@ def test_graph_counts():
     with pytest.raises(GraphError):
         list(enumerate_graphs(9))
     with pytest.raises(GraphError):
-        list(enumerate_trees(13))
+        list(enumerate_trees(17))
+
+
+def count_searches(monkeypatch) -> list:
+    """The graphs handed to the labeling search from now on, wherever it
+    is bound."""
+    calls = []
+    search = graphs._least_leaf_code
+
+    def counted(g):
+        calls.append(g)
+        return search(g)
+
+    for module in (graphs, families):
+        monkeypatch.setattr(module, "_least_leaf_code", counted)
+    return calls
+
+
+# OEIS A000055: free trees on n unlabeled vertices, n = 0..16
+FREE_TREES = [1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
+
+
+def test_level_sequences_make_each_tree_once_without_labeling(monkeypatch):
+    # the AHU code at the centre, an oracle apart from the labeler, tells
+    # the generated trees apart
+    calls = count_searches(monkeypatch)
+    for n in range(1, 17):
+        codes = set()
+        for levels in families._level_sequences(n):
+            t = families._tree(levels)
+            assert t.m == n - 1 and len(graphs._component_masks(t)) == 1
+            codes.add(ahu_code(n, t.edges()))
+        assert len(codes) == FREE_TREES[n], n
+    assert calls == []
+
+
+def test_cold_tree_census_labels_each_tree_once(monkeypatch):
+    calls = count_searches(monkeypatch)
+    families._trees.cache_clear()
+    canonical_form.cache_clear()
+    assert len(list(enumerate_trees(12))) == len(calls) == 551
 
 
 def census_digest(graphs) -> str:

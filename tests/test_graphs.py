@@ -26,6 +26,7 @@ from reconkit import (
     disjoint_union,
     edge_degree,
     enumerate_graphs,
+    enumerate_trees,
     is_isomorphic,
     parse_family_spec,
     parse_graph6,
@@ -227,19 +228,29 @@ def test_aut_reads_the_group_of_the_search_that_made_the_certificate(monkeypatch
         calls.clear()
         assert _aut(cert)[0] == automorphism_count(g), g
         assert calls == []
-    # a cold census stores no group: it keeps each class's graph with the
-    # generators of that graph's own search
+    # a cold graph census stores no group: it keeps each class's graph with
+    # the generators of that graph's own search
     monkeypatch.setattr(graphs, "_groups", OrderedDict())
     families._census.cache_clear()
-    levels = [(n, False) for n in range(1, 8)] + [(n, True) for n in range(1, 10)]
-    censuses = [families._census(n, trees) for n, trees in levels]
+    censuses = [families._census(n) for n in range(1, 8)]
     assert not graphs._groups
-    for (n, _trees), census in zip(levels, censuses):
+    for n, census in enumerate(censuses, 1):
         for cert, g, gens in census:
             assert canonical_form.__wrapped__(g) == cert
             for gen in gens:
                 assert sorted(gen) == list(range(n))
                 assert g.permuted(list(gen)) == g, (cert, gen)
+    # a cold tree census labels each tree once, by canonical_form, which
+    # stores its group: _aut then reads it without a search
+    monkeypatch.setattr(graphs, "_groups", OrderedDict())
+    families._trees.cache_clear()
+    canonical_form.cache_clear()
+    calls.clear()
+    assert len(list(enumerate_trees(9))) == len(calls) == len(graphs._groups) == 47
+    calls.clear()
+    for cert, t in families._trees(9):
+        assert _aut(cert)[0] == automorphism_count(t), t
+    assert calls == []
 
 
 def test_aut_without_a_record_searches_the_canonical_graph(monkeypatch):

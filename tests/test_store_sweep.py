@@ -19,7 +19,7 @@ from reconkit import (
     path,
     star,
 )
-from reconkit import decks, graphs, recon
+from reconkit import decks, families, graphs, recon
 from reconkit.families import _FAMILIES
 from reconkit.graphs import MAX_VERTICES
 from reconkit.store import (
@@ -279,11 +279,32 @@ def test_small_label_cache_writes_the_same_records(monkeypatch):
 
     records, default_searches = cold_records()
     small = lru_cache(64)(graphs.canonical_form.__wrapped__)
-    for module in (graphs, decks, recon, sweep_module):
+    for module in (graphs, decks, families, recon, sweep_module):
         monkeypatch.setattr(module, "canonical_form", small)
     small_cap_records, small_cap_searches = cold_records()
     assert small_cap_records == records
     assert small.cache_info().currsize == 64 and small_cap_searches > default_searches
+
+
+def test_cold_tree_sweep_searches_no_tree_it_evaluates(monkeypatch):
+    # enumeration labels each generated tree, and the sweep evaluates those
+    # very graphs, so their labelings are cache hits from then on
+    families._trees.cache_clear()
+    canonical_form.cache_clear()
+    searched, evaluated = [], []
+    search = graphs._least_leaf_code
+    monkeypatch.setattr(graphs, "_least_leaf_code", lambda g: searched.append(g) or search(g))
+    run, evaluate = sweep_module._run_sweep, sweep_module.evaluate_graph
+
+    def enumerated_first(scope, trees, *rest):
+        trees = list(trees)
+        searched.clear()
+        return run(scope, trees, *rest)
+
+    monkeypatch.setattr(sweep_module, "_run_sweep", enumerated_first)
+    monkeypatch.setattr(sweep_module, "evaluate_graph", lambda g: evaluated.append(g) or evaluate(g))
+    assert sweep_trees(9, "dern-le-2", None).computed == len(evaluated) == 47
+    assert set(searched) & set(evaluated) == set()
 
 
 def test_census_claim_lists_expected_trees(tmp_path):
@@ -412,9 +433,9 @@ def test_empty_sweep_scopes_rejected_before_store(tmp_path):
     store = tmp_path / "store.txt"
     store.write_text("not a store header\n")
     for run, bad, bound in (
-        (sweep_trees, 1, "2 <= n <= 12"),
-        (sweep_trees, 0, "2 <= n <= 12"),
-        (sweep_caterpillars, 1, "2 <= n <= 12"),
+        (sweep_trees, 1, "2 <= n <= 16"),
+        (sweep_trees, 0, "2 <= n <= 16"),
+        (sweep_caterpillars, 1, "2 <= n <= 16"),
         (lambda n, *rest: sweep_disconnected(2, n, *rest), 1, "2 <= n(H) <= 8"),
     ):
         with pytest.raises(GraphError, match=f"needs {re.escape(bound)}, got {bad}"):
@@ -524,7 +545,7 @@ def test_cli_empty_sweep_scopes_exit_1():
     for scope in (["--trees", "1"], ["--trees", "0"], ["--caterpillars", "1"]):
         out = run_cli(["sweep", *scope, "--claim", "dern-le-2", "--no-store"])
         assert out.returncode == 1, scope
-        assert f"needs 2 <= n <= 12, got {scope[1]}" in out.stderr
+        assert f"needs 2 <= n <= 16, got {scope[1]}" in out.stderr
         assert "records:" not in out.stdout
     out = run_cli(["sweep", "--disconnected", "2:1", "--claim", "conj-2.1", "--no-store"])
     assert out.returncode == 1 and "needs 2 <= n(H) <= 8, got 1" in out.stderr
