@@ -10,6 +10,7 @@ from --store or the RECONKIT_STORE environment variable.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -189,6 +190,9 @@ def _cmd_family(args) -> int:
 
 def _cmd_store(args) -> int:
     path = args.store or default_store_path()
+    if not os.path.exists(path):
+        # store_scan reads a missing file as empty, which a new sweep needs
+        raise SystemExit(f"error: no store at {path}")
     records, stats = store_scan(path, args.filter)
     if stats["corrupt"]:
         print(f"warning: skipped {stats['corrupt']} corrupt lines", file=sys.stderr)

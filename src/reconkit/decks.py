@@ -5,6 +5,11 @@ is itself a graph on n vertices with one edge fewer; isolated vertices are
 first-class citizens here.  Keys are either plain certificates (edge-deck)
 or (certificate, edge degree) pairs (da-edeck), which turns multiset
 equality and containment into dictionary comparisons.
+
+A card fixes the degree of the edge it lost, sum deg^2(G) =
+sum deg^2(G - e) + 2 d(e) + 2, so each card class of G occurs in the
+da-edeck with exactly one d.  Only the da-edeck is built; the edge-deck is
+that deck with d dropped, one key for each key.
 """
 
 from __future__ import annotations
@@ -86,35 +91,40 @@ class Deck:
         return f"Deck({{{inner}}})"
 
 
-def _deck_of_cert(cert: Certificate, da: bool) -> tuple:
-    """The (da-)edeck of cert's class, and in its key order the card graph
-    labeled for each key.  The edges of one orbit of Aut(G) give the same
-    da-ecard, so one card per edge orbit of the canonical graph is labeled
-    and its key weighted by the orbit's size; the canonical graph itself is
-    never searched."""
+def _edged_cert(g: Graph, da: bool) -> Certificate:
+    """g's certificate; GraphError naming the (da-)edeck when g has no edge."""
+    cert = canonical_form(g)
     if cert.m < 1:
         raise GraphError(f"{'da-edeck' if da else 'edge-deck'} of an edgeless graph")
+    return cert
+
+
+def _deck_of_cert(cert: Certificate) -> tuple:
+    """The da-edeck of cert's class, that deck with d dropped (the
+    edge-deck), and in their key order the card graph labeled for each key.
+    The edges of one orbit of Aut(G) give the same da-ecard, so one card
+    per edge orbit of the canonical graph is labeled and its key weighted
+    by the orbit's size; the canonical graph itself is never searched."""
     g = certificate_graph(cert)
     entries, cards = {}, {}
     for (u, v), size in _pair_orbits(_aut(cert)[1], g.edges()):
         card = g.remove_edge(u, v)
-        key = canonical_form(card)
-        if da:
-            key = DaEcard(key, g.degree(u) + g.degree(v) - 2)
+        key = DaEcard(canonical_form(card), g.degree(u) + g.degree(v) - 2)
         entries[key] = entries.get(key, 0) + size
         cards.setdefault(key, card)
     deck = Deck(entries)
-    return deck, tuple(cards[key] for key in deck)
+    plain = Deck((key.card, m) for key, m in deck.items())
+    return deck, plain, tuple(cards[key] for key in deck)
 
 
 def edge_deck(g: Graph) -> Deck:
     """Multiset of certificates of G - e over all edges e."""
-    return _deck_of_cert(canonical_form(g), False)[0]
+    return _deck_of_cert(_edged_cert(g, False))[1]
 
 
 def da_edeck(g: Graph) -> Deck:
     """Multiset of (certificate of G - e, d(e)) pairs over all edges e."""
-    return _deck_of_cert(canonical_form(g), True)[0]
+    return _deck_of_cert(_edged_cert(g, True))[0]
 
 
 def min_multiplicity(g: Graph) -> int:

@@ -9,7 +9,15 @@ each card class is scanned once, one non-edge per orbit of Aut(C).
 Counting the pairs (edge e of H, isomorphism H - e -> C) two ways gives
 H's multiplicity on C without building H's deck:
 
-    m_H(C, d) = #{non-edges f of C of degree d : C + f = H} * |Aut H| / |Aut C|
+    m_H(C) = #{non-edges f of C : C + f = H} * |Aut H| / |Aut C|
+
+A card fixes the degree of the edge it lost:
+sum deg^2(H) = sum deg^2(H - e) + 2 d(e) + 2.  So C occurs in G's da-edeck
+with one d, and the edges e of H with H - e = C all have degree d exactly
+when sum deg^2(H) = sum deg^2(G).  The da-blockers are the blockers with
+G's sum of squared degrees, those that C + f reaches for a non-edge f of
+degree d, and their multiplicities are unchanged.  One blocker pass per
+graph is therefore read as two views, the edge-deck's and the da one.
 
 The minimum variants (ern, dern) find the smallest sub-multiset of the deck
 contained in no blocker's deck, each query an AND of per-card bitmasks over
@@ -27,6 +35,7 @@ from .decks import (
     DaEcard,
     Deck,
     _deck_of_cert,
+    _edged_cert,
     da_edeck,
     edge_deck,
     min_multiplicity,
@@ -120,39 +129,45 @@ def determines(card: Graph, d: int, origin: Graph) -> bool:
 def blockers(g: Graph, da: bool) -> list:
     """Every H (up to isomorphism, H != G) sharing at least one (da-)ecard
     with g.  Complete: a shared card C forces H = C plus one edge."""
-    return [certificate_graph(c) for c in _context(canonical_form(g), da)[1]]
+    return [certificate_graph(c) for c in _context(_edged_cert(g, da))[da][1]]
 
 
-def _multiplicities(gcert: Certificate, da: bool) -> tuple:
-    """The class's (da-)edeck, and each blocker's certificate in increasing
-    order to its multiplicities on the deck's keys, by double counting
-    (module docstring); GraphError, from the deck, for an edgeless class."""
-    deck, cards = _deck_of_cert(gcert, da)
-    mults: dict = {}
-    for key, card_graph in zip(deck, cards):
-        card, d = key if da else (key, None)
-        card_order = _aut(card)[0]
-        for h, f in extensions(card_graph, d).items():
+def _multiplicities(gcert: Certificate) -> tuple:
+    """The class's one blocker pass, as (deck, multiplicities) for the
+    edge-deck view and then the da view (module docstring): each view's
+    blockers in increasing certificate order to their multiplicities on
+    the view's deck keys."""
+    da_deck, deck, cards = _deck_of_cert(gcert)
+    mults, same_sq = {}, set()
+    for key, card_graph in zip(da_deck, cards):
+        card_order = _aut(key.card)[0]
+        for h, f in extensions(card_graph).items():
             if h == gcert:
                 continue
             m, rest = divmod(f * _aut(h)[0], card_order)
             if rest:
                 raise ArithmeticError(
-                    f"{f} * |Aut {h.canon}| is not divisible by |Aut {card.canon}|"
+                    f"{f} * |Aut {h.canon}| is not divisible by |Aut {key.card.canon}|"
                     f" = {card_order}: a group order is wrong"
                 )
             mults.setdefault(h, {})[key] = m
-    return deck, {h: mults[h] for h in sorted(mults)}
+        same_sq.update(extensions(card_graph, key.d))
+    hs = sorted(mults)
+    plain = {h: {key.card: m for key, m in mults[h].items()} for h in hs}
+    return (deck, plain), (da_deck, {h: mults[h] for h in hs if h in same_sq})
 
 
-@lru_cache(maxsize=4096)
-def _context(gcert: Certificate, da: bool):
-    """The class's (da-)edeck, its blockers' certificates, the ``blocked``
-    index (per deck key, entry x - 1 has bit i set if blocker i reaches
-    multiplicity x), the deck's largest overlap with a blocker's deck, and
-    the first blocker reaching it with its multiplicities (None and {}
-    without blockers).  Per class."""
-    deck, mults = _multiplicities(gcert, da)
+@lru_cache(maxsize=2048)
+def _context(gcert: Certificate) -> tuple:
+    """The edge-deck view and the da view of the class's blocker pass."""
+    return tuple(_view(deck, mults) for deck, mults in _multiplicities(gcert))
+
+
+def _view(deck: Deck, mults: dict) -> tuple:
+    """The deck, its blockers' certificates, the ``blocked`` index (per deck
+    key, entry x - 1 has bit i set if blocker i reaches multiplicity x), the
+    deck's largest overlap with a blocker's deck, and the first blocker
+    reaching it with its multiplicities (None and {} without blockers)."""
     index = {key: [0] * deck.mult(key) for key in deck}
     max_shared, example = 0, None
     for i, (h, on_keys) in enumerate(mults.items()):
@@ -173,7 +188,7 @@ def blocked(g: Graph, cards: Deck, da: bool) -> bool:
     multiplicities are known only on g's keys; ValueError otherwise.  An
     empty multiset is blocked exactly when g has a blocker.
     """
-    hs, index = _context(canonical_form(g), da)[1:3]
+    hs, index = _context(_edged_cert(g, da))[da][1:3]
     reach = (1 << len(hs)) - 1
     for key in cards:
         x = cards.mult(key)
@@ -201,7 +216,7 @@ def _witness_vectors(mults, k):
 def recon_number(g: Graph, da: bool = False) -> ReconResult:
     """Smallest k such that some k-sub-multiset of the (da-)edeck of g is
     contained in no blocker's deck (ern for da=False, dern for da=True)."""
-    deck, _hs, _index, max_shared, example = _context(canonical_form(g), da)[:5]
+    deck, _hs, _index, max_shared, example = _context(_edged_cert(g, da))[da][:5]
     example = None if example is None else certificate_graph(example)
     if max_shared == deck.total:
         return ReconResult(None, (), max_shared, example)
@@ -218,7 +233,7 @@ def recon_number(g: Graph, da: bool = False) -> ReconResult:
 def adv_recon_number(g: Graph, da: bool = False) -> ReconResult:
     """Least k such that every k-sub-multiset of the deck is unblocked:
     1 + the largest deck intersection with any blocker."""
-    deck, _hs, _index, max_shared, example, on_keys = _context(canonical_form(g), da)
+    deck, _hs, _index, max_shared, example, on_keys = _context(_edged_cert(g, da))[da]
     example = None if example is None else certificate_graph(example)
     if max_shared == deck.total:
         return ReconResult(None, (), max_shared, example)

@@ -118,7 +118,9 @@ def _check_conj_components_star(g: Graph, rec: ResultRecord) -> bool:
     return _is_star(h)
 
 
-_STAR_LIKE_EXCEPTIONS = ("S:2", "S:3", "Kpq:2,3")
+_STAR_LIKE_EXCEPTIONS = frozenset(
+    canonical_form(parse_family_spec(spec)) for spec in ("S:2", "S:3", "Kpq:2,3")
+)
 
 
 def _check_conj_uniform_cards(g: Graph, rec: ResultRecord) -> bool:
@@ -127,10 +129,8 @@ def _check_conj_uniform_cards(g: Graph, rec: ResultRecord) -> bool:
     h = _isomorphic_components(g)
     if h is None or h.m < 1 or len(edge_deck(h)) != 1:
         return True
-    hcert = canonical_form(h)
-    for spec in _STAR_LIKE_EXCEPTIONS:
-        if canonical_form(parse_family_spec(spec)) == hcert:
-            return True
+    if canonical_form(h) in _STAR_LIKE_EXCEPTIONS:
+        return True
     return rec.dern is not None and rec.dern <= 2
 
 

@@ -242,10 +242,11 @@ def test_blocker_multiplicities_match_built_decks():
     graphs = [g for n in range(2, 7) for g in enumerate_graphs(n) if g.m >= 1]
     graphs += [t for n in range(7, 10) for t in enumerate_trees(n)]
     for g in graphs:
+        views = recon._multiplicities(canonical_form(g))
         for da in (False, True):
             deck_of = da_edeck if da else edge_deck
             deck = deck_of(g)
-            mults = recon._multiplicities(canonical_form(g), da)[1]
+            mults = views[da][1]
             assert list(mults) == sorted(mults)
             for h, on_keys in mults.items():
                 built = deck_of(certificate_graph(h))
@@ -259,16 +260,27 @@ def sum_sq_degrees(g):
 
 def test_da_context_is_the_plain_context_at_equal_degree_squares():
     # A card fixes the degree of the edge it lost:
-    # sum deg^2(H) = sum deg^2(H - e) + 2 d(e) + 2.  So each card class
-    # occurs in the da-edeck with one d, and the da-blockers are the plain
-    # blockers with G's sum of squared degrees, multiplicities unchanged.
+    # sum deg^2(H) = sum deg^2(H - e) + 2 d(e) + 2, checked edge by edge on
+    # the oracle's da-ecards.  So each card class occurs in the da-edeck
+    # with one d, and the da-blockers are the plain blockers with G's sum
+    # of squared degrees, multiplicities unchanged.  The code reads the da
+    # view off the plain pass, so the blockers of both views are also
+    # checked against the oracle's one-edge extensions of the cards.
     graphs = [g for n in range(2, 7) for g in enumerate_graphs(n) if g.m >= 1]
     graphs += [t for n in range(7, 10) for t in enumerate_trees(n)]
     for g in graphs:
         gcert = canonical_form(g)
+        d_of, reached, da_reached = {}, set(), set()
+        for card, d in oracles.da_ecards(g):
+            assert sum_sq_degrees(g) == sum_sq_degrees(card) + 2 * d + 2
+            assert d_of.setdefault(canonical_form(card), d) == d
+            reached.update(map(canonical_form, oracles.one_edge_extensions(card)))
+            da_reached.update(map(canonical_form, oracles.one_edge_extensions(card, d)))
         deck, da_deck = edge_deck(g), da_edeck(g)
-        mults = recon._multiplicities(gcert, False)[1]
-        da_mults = recon._multiplicities(gcert, True)[1]
+        plain, da = recon._multiplicities(gcert)
+        mults, da_mults = plain[1], da[1]
+        assert list(mults) == sorted(reached - {gcert})
+        assert list(da_mults) == sorted(da_reached - {gcert})
         assert [(key.card, m) for key, m in da_deck.items()] == deck.items()
         same_sq = [
             h for h in mults
@@ -295,9 +307,8 @@ def test_context_rejects_a_wrong_group_order(monkeypatch):
     # one more than the true order: f * |Aut H| / |Aut C| stops dividing
     true_aut = recon._aut
     monkeypatch.setattr(recon, "_aut", lambda cert: (true_aut(cert)[0] + 1, true_aut(cert)[1]))
-    for da in (False, True):
-        with pytest.raises(ArithmeticError, match="group order is wrong"):
-            recon._context.__wrapped__(canonical_form(P(5)), da)
+    with pytest.raises(ArithmeticError, match="group order is wrong"):
+        recon._context.__wrapped__(canonical_form(P(5)))
 
 
 def test_blockers_and_examples_are_canonical_graphs():
@@ -505,8 +516,7 @@ def test_context_searches_no_canonical_graph_it_holds(monkeypatch):
         gcert = canonical_form(g.permuted(perm))
         known = {gcert}
         searched.clear()
-        for da in (False, True):
-            recon._context.__wrapped__(gcert, da)
+        recon._context.__wrapped__(gcert)
         assert searched, spec
         for h, c in searched:
             assert h != certificate_graph(c) or c not in known, (spec, c)
@@ -525,6 +535,22 @@ def test_each_card_class_is_scanned_once(monkeypatch):
     cards = {key.card for t in trees for key in da_edeck(t)}
     info = recon._scan.cache_info()
     assert info.misses == info.currsize == len(cards)
+
+
+def test_one_blocker_pass_per_graph(monkeypatch):
+    # with a cold context cache, evaluating every tree on 9 vertices builds
+    # each tree's da-edeck once and keeps one context per tree, whose two
+    # views serve ern, dern and their adversary variants
+    built = []
+    build = recon._deck_of_cert
+    monkeypatch.setattr(recon, "_deck_of_cert", lambda *a: built.append(a[0]) or build(*a))
+    recon._context.cache_clear()
+    trees = list(enumerate_trees(9))
+    for t in trees:
+        evaluate_graph(t)
+    assert len(trees) == 47
+    assert sorted(built) == sorted(canonical_form(t) for t in trees)
+    assert recon._context.cache_info().currsize == 47
 
 
 # --- disjoint-union bound --------------------------------------------------------

@@ -564,6 +564,14 @@ def test_cli_store_roundtrip(tmp_path):
         assert int(line.split("\t")[4]) >= 2
 
 
+def test_cli_store_scan_rejects_a_missing_store(tmp_path):
+    missing = tmp_path / "no-such-store.txt"
+    out = run_cli(["store", "scan", "--store", str(missing)])
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.strip() == f"error: no store at {missing}"
+    assert store_scan(str(missing)) == ([], {"corrupt": 0, "duplicates": 0})
+
+
 def test_union_count_out_of_range():
     for spec in ("U:-2*K:2+K:3", f"U:{10**19}*K:2", "U:0*K:2", f"U:{MAX_VERTICES + 1}*K:1"):
         with pytest.raises(GraphError, match="union count"):
