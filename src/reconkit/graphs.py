@@ -7,8 +7,11 @@ individualization-refinement search with automorphism pruning (McKay &
 Piperno, Practical graph isomorphism II, 2014; Junttila & Kaski, bliss,
 2007), so certificates of two graphs are equal exactly when the graphs are
 isomorphic.  That makes certificates usable directly as multiset keys.
-CERT_SCHEME names this labeling for the store.  graph6 text is only the
-I/O form: the store, the CLI and ``Certificate.canon`` read and write it.
+A graph whose components have at most one cycle each also has an exact
+linear-time code, its shape (``_shape``), so each such class is searched
+once under any labeling.  CERT_SCHEME names this labeling for the store.
+graph6 text is only the I/O form: the store, the CLI and
+``Certificate.canon`` read and write it.
 """
 
 from __future__ import annotations
@@ -538,13 +541,112 @@ def _remember(cert: Certificate, search: tuple) -> tuple:
     return group
 
 
+def _paren(codes) -> int:
+    """'(', the codes in the given order, then ')', as bits with ( as 1
+    and ) as 0.  Every code is such a balanced string, whose first bit is
+    1, so its bit length is its length and a concatenation parses back."""
+    out = 1
+    for code in codes:
+        out = out << code.bit_length() | code
+    return out << 1
+
+
+def _rooted(kids: list) -> int:
+    """The AHU code of a root whose subtrees have the codes in ``kids``:
+    '(', those codes in increasing order (``kids`` is sorted in place),
+    then ')'."""
+    if not kids:
+        return 2  # a leaf, '()'
+    kids.sort()
+    return _paren(kids)
+
+
+def _shape(g: Graph) -> int | None:
+    """An exact isomorphism code for graphs whose every component has at
+    most one cycle, None for any other graph: two such graphs have equal
+    shapes exactly when they are isomorphic.
+
+    Leaves are stripped layer by layer, and each stripped vertex gets the
+    AHU code (Aho, Hopcroft & Ullman 1974) of its rooted subtree.  What is
+    left of a tree is its centre, or the two ends of its central edge when
+    both are leaves of one layer; what is left of a unicyclic component is
+    its cycle, and a vertex of degree 3 or more left means two cycles.  A
+    component's code is a parenthesis around one code (a tree's centre),
+    two in increasing order (a central edge's ends) or k >= 3 (a cycle's
+    vertices, read in the least of the rotations and reflections that start
+    at the largest code); the shape is a parenthesis around the components'
+    codes in increasing order.
+    """
+    n = g.n
+    rows = list(g.rows)
+    deg = [row.bit_count() for row in rows]
+    if sum(deg) > 2 * n:  # some component has more edges than vertices
+        return None
+    kids = [[] for _ in range(n)]
+    layer = [0] * n  # the layer a vertex is a leaf in
+    leaves = [v for v in range(n) if deg[v] == 1]
+    for v in leaves:  # in layer order, as leaves are appended
+        if deg[v] != 1:
+            continue
+        u = rows[v].bit_length() - 1  # v's one neighbour left
+        if deg[u] == 1 and layer[u] == layer[v]:  # all that is left of a tree
+            continue
+        kids[u].append(_rooted(kids[v]))
+        rows[u] ^= 1 << v
+        deg[v] = -1  # stripped
+        deg[u] -= 1
+        if deg[u] == 1:
+            layer[u] = layer[v] + 1
+            leaves.append(u)
+    if max(deg) > 2:
+        return None
+    comps = []
+    done = 0
+    for v in range(n):
+        if deg[v] < 0 or done >> v & 1:
+            continue
+        if deg[v] < 2:  # a centre, or one end of a central edge
+            ends = [v] if deg[v] == 0 else [v, rows[v].bit_length() - 1]
+            comps.append(_rooted([_rooted(kids[w]) for w in ends]))
+            for w in ends:
+                done |= 1 << w
+            continue
+        cycle, prev, w = [], v, rows[v].bit_length() - 1
+        while not done >> w & 1:  # w's other neighbour is the next vertex
+            cycle.append(_rooted(kids[w]))
+            done |= 1 << w
+            prev, w = w, (rows[w] ^ 1 << prev).bit_length() - 1
+        top = max(cycle)
+        comps.append(_paren(min(
+            seq
+            for i, code in enumerate(cycle)
+            if code == top
+            for seq in (cycle[i:] + cycle[:i], cycle[i::-1] + cycle[:i:-1])
+        )))
+    return _rooted(comps)
+
+
+# Shape (see ``_shape``) -> Certificate, least recently used out first; it
+# shares the group store's cap
+_shapes: OrderedDict = OrderedDict()
+
+
 @lru_cache(maxsize=1 << 12)
 def canonical_form(g: Graph) -> Certificate:
     """Certificate of g; equal across all relabelings, distinct across
-    non-isomorphic graphs."""
+    non-isomorphic graphs.  A graph whose components have at most one
+    cycle each is searched only when no graph of its shape was before."""
+    shape = _shape(g)
+    if shape is not None and shape in _shapes:
+        _shapes.move_to_end(shape)
+        return _shapes[shape]
     search = _least_leaf_code(g)
     cert = Certificate(g.n, g.m, search[0])
     _remember(cert, search)
+    if shape is not None:
+        if len(_shapes) >= _GROUPS_CAP:
+            _shapes.popitem(last=False)
+        _shapes[shape] = cert
     return cert
 
 

@@ -37,8 +37,6 @@ from .decks import (
     _deck_of_cert,
     _edged_cert,
     da_edeck,
-    edge_deck,
-    min_multiplicity,
 )
 from .graphs import (
     Certificate,
@@ -276,10 +274,12 @@ def union_bound(g: Graph) -> tuple:
     h = _isomorphic_components(g)
     if h is None:
         raise GraphError("need at least two components, all isomorphic")
-    if h.m < 1 or len(edge_deck(h)) == 1:
+    # H's deck is read from the blocker pass that adv_recon_number reads
+    deck = _context(canonical_form(h))[False][0] if h.m else Deck({})
+    if len(deck) < 2:
         raise GraphError("all edge-cards of the component are isomorphic")
     adv = adv_recon_number(h, da=False).value
-    candidates = [2 + min_multiplicity(h)]
+    candidates = [2 + min(m for _key, m in deck.items())]
     if adv is not None:
         candidates.append(adv)
     bound = min(candidates)

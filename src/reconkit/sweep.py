@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .caterpillar import CaterpillarSeq, reductions, seq_of
-from .decks import DaEcard, Deck, da_edeck, edge_deck, sub_multiset
+from .decks import DaEcard, Deck, _edged_cert, edge_deck, sub_multiset
 from .families import (
     MAX_GRAPH_N,
     MAX_TREE_N,
@@ -34,6 +34,7 @@ from .graphs import (
     edge_degree,
 )
 from .recon import (
+    _context,
     _isomorphic_components,
     adv_recon_number,
     blocked,
@@ -330,6 +331,8 @@ def identifying_cards(s: CaterpillarSeq, positions) -> tuple:
 
 def pair_certifies(t: Graph, cards) -> bool:
     """True iff the multiset of da-ecards lies in t's da-edeck and in no
-    blocker's da-edeck."""
+    blocker's da-edeck.  The deck is read from t's blocker pass, which
+    ``evaluate_graph(t)`` has already made."""
     need = Deck(Counter(cards))
-    return sub_multiset(need, da_edeck(t)) and not blocked(t, need, True)
+    da_deck = _context(_edged_cert(t, True))[True][0]
+    return sub_multiset(need, da_deck) and not blocked(t, need, True)

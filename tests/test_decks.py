@@ -271,6 +271,7 @@ def test_one_edge_orbit_deck_labels_one_card(monkeypatch):
     monkeypatch.setattr(graphs, "_least_leaf_code", lambda h: calls.append(h) or search(h))
     for spec in ("C:12", "U:5*K:2", "U:2*C:6"):
         monkeypatch.setattr(graphs, "_groups", OrderedDict())
+        monkeypatch.setattr(graphs, "_shapes", OrderedDict())
         canonical_form.cache_clear()
         g = parse_family_spec(spec)
         gcert = canonical_form(relabeled(g, rng))

@@ -1,5 +1,5 @@
 import hashlib
-from collections import Counter
+from collections import Counter, OrderedDict
 from itertools import combinations
 
 import pytest
@@ -170,6 +170,7 @@ def test_level_sequences_make_each_tree_once_without_labeling(monkeypatch):
 
 def test_cold_tree_census_labels_each_tree_once(monkeypatch):
     calls = count_searches(monkeypatch)
+    monkeypatch.setattr(graphs, "_shapes", OrderedDict())
     families._trees.cache_clear()
     canonical_form.cache_clear()
     assert len(list(enumerate_trees(12))) == len(calls) == 551

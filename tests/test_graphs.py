@@ -221,6 +221,7 @@ def test_aut_reads_the_group_of_the_search_that_made_the_certificate(monkeypatch
     # after canonical_form's search of a relabeled graph, _aut runs no
     # search: it reads the group that search stored
     monkeypatch.setattr(graphs, "_groups", OrderedDict())
+    monkeypatch.setattr(graphs, "_shapes", OrderedDict())
     calls = count_searches(monkeypatch)
     rng = random.Random(4)
     for g in (g for n in range(1, 8) for g in enumerate_graphs(n)):
@@ -231,6 +232,7 @@ def test_aut_reads_the_group_of_the_search_that_made_the_certificate(monkeypatch
     # a cold graph census stores no group: it keeps each class's graph with
     # the generators of that graph's own search
     monkeypatch.setattr(graphs, "_groups", OrderedDict())
+    monkeypatch.setattr(graphs, "_shapes", OrderedDict())
     families._census.cache_clear()
     censuses = [families._census(n) for n in range(1, 8)]
     assert not graphs._groups
@@ -243,6 +245,7 @@ def test_aut_reads_the_group_of_the_search_that_made_the_certificate(monkeypatch
     # a cold tree census labels each tree once, by canonical_form, which
     # stores its group: _aut then reads it without a search
     monkeypatch.setattr(graphs, "_groups", OrderedDict())
+    monkeypatch.setattr(graphs, "_shapes", OrderedDict())
     families._trees.cache_clear()
     canonical_form.cache_clear()
     calls.clear()
@@ -264,6 +267,7 @@ def test_aut_without_a_record_searches_the_canonical_graph(monkeypatch):
     ]
     recorded = [_aut(cert) for cert in certs]
     monkeypatch.setattr(graphs, "_groups", OrderedDict())
+    monkeypatch.setattr(graphs, "_shapes", OrderedDict())
     calls = count_searches(monkeypatch)
     for cert, (order, gens) in zip(certs, recorded):
         calls.clear()
@@ -278,6 +282,7 @@ def test_group_store_stays_within_its_cap(monkeypatch):
     cap = 40
     monkeypatch.setattr(graphs, "_GROUPS_CAP", cap)
     monkeypatch.setattr(graphs, "_groups", OrderedDict())
+    monkeypatch.setattr(graphs, "_shapes", OrderedDict())
     rng = random.Random(6)
     graphs_ = [g for n in range(1, 7) for g in enumerate_graphs(n)]
     assert len(graphs_) > 3 * cap
@@ -299,10 +304,69 @@ def test_group_store_stays_within_its_cap(monkeypatch):
 def test_group_store_evicts_the_least_recently_used(monkeypatch):
     monkeypatch.setattr(graphs, "_GROUPS_CAP", 3)
     monkeypatch.setattr(graphs, "_groups", OrderedDict())
+    monkeypatch.setattr(graphs, "_shapes", OrderedDict())
     c3, c4, c5 = (canonical_form.__wrapped__(cycle(n)) for n in (3, 4, 5))
     _aut(c3)  # a read makes C_3's group the most recently used
     c6 = canonical_form.__wrapped__(cycle(6))
     assert list(graphs._groups) == [c5, c3, c6]
+
+
+def cycles_at_most_one_per_component(g) -> bool:
+    """Every component has at most as many edges as vertices."""
+    for mask in graphs._component_masks(g):
+        edges = sum((g.rows[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1)
+        if edges // 2 > mask.bit_count():
+            return False
+    return True
+
+
+def ir1_certificate(g):
+    return graphs.Certificate(g.n, g.m, graphs._least_leaf_code(g)[0])
+
+
+def test_shape_is_none_exactly_with_two_cycles_in_a_component():
+    rng = random.Random(21)
+    for g in (g for n in range(1, 8) for g in enumerate_graphs(n)):
+        g = relabeled(g, rng)
+        assert (graphs._shape(g) is None) != cycles_at_most_one_per_component(g), g
+    # past the edge count: a theta graph beside enough isolated vertices
+    theta = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    assert theta.m <= theta.n and graphs._shape(theta) is None
+
+
+def test_shape_is_exact_on_graphs_with_at_most_one_cycle_per_component():
+    # equal shapes exactly when the ir1 certificates of the search are
+    # equal, on every such graph with n <= 7, every forest card of every
+    # tree with n <= 10 and every one-edge extension of those cards; each
+    # graph's shape is also its relabeled copy's
+    rng = random.Random(22)
+    pseudoforests = [
+        g
+        for n in range(1, 8)
+        for g in enumerate_graphs(n)
+        if cycles_at_most_one_per_component(g)
+    ]
+    cards = [
+        t.remove_edge(u, v)
+        for n in range(2, 11)
+        for _cert, t in families._trees(n)
+        for u, v in t.edges()
+    ]
+    one_per_class = {ir1_certificate(c): c for c in cards}.values()
+    extensions = [
+        c.add_edge(u, v)
+        for c in one_per_class
+        for u in range(c.n)
+        for v in range(u + 1, c.n)
+        if not c.has_edge(u, v)
+    ]
+    pairs = set()
+    for g in pseudoforests + cards + extensions:
+        shape = graphs._shape(g)
+        assert shape is not None and graphs._shape(relabeled(g, rng)) == shape, g
+        pairs.add((shape, ir1_certificate(g)))
+    assert len(pairs) == len({s for s, _ in pairs}) == len({c for _, c in pairs})
+    assert len(pairs) == 1174  # classes, each met under several labelings
 
 
 def test_automorphism_group_closed_forms():

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 import oracles
-from reconkit import graphs, recon
+from reconkit import decks, graphs, recon
 from reconkit import (
     Certificate,
     DaEcard,
@@ -508,6 +508,7 @@ def test_context_searches_no_canonical_graph_it_holds(monkeypatch):
     rng = random.Random(16)
     for spec in ("U:2*S:3", "U:4*S:2", "U:3*C:4", "U:2*Kpq:2,3", "C:12"):
         monkeypatch.setattr(graphs, "_groups", OrderedDict())
+        monkeypatch.setattr(graphs, "_shapes", OrderedDict())
         for cached in (canonical_form, recon._scan):
             cached.cache_clear()
         g = parse_family_spec(spec)
@@ -527,6 +528,7 @@ def test_each_card_class_is_scanned_once(monkeypatch):
     # with cold caches, evaluating every tree on 9 vertices scans each card
     # class once, for ern and for every degree of dern alike
     monkeypatch.setattr(graphs, "_groups", OrderedDict())
+    monkeypatch.setattr(graphs, "_shapes", OrderedDict())
     for cached in (canonical_form, recon._scan, recon._context):
         cached.cache_clear()
     trees = list(enumerate_trees(9))
@@ -561,6 +563,28 @@ def test_union_bound_holds_for_paths():
     pendant = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
     bound, holds = union_bound(disjoint_union(2, pendant))
     assert holds
+
+
+def test_union_bound_builds_each_deck_once(monkeypatch):
+    # H's edge-deck is read from the blocker pass that adv_ern(H) reads, so
+    # union_bound(2H) builds H's deck and 2H's, once each; the union
+    # sweep's uniform-cards check builds H's deck once
+    from reconkit.sweep import _check_conj_uniform_cards
+
+    built = []
+    build = recon._deck_of_cert
+    for module in (decks, recon):
+        monkeypatch.setattr(module, "_deck_of_cert", lambda c: built.append(c) or build(c))
+    recon._context.cache_clear()
+    g = disjoint_union(2, P(4))
+    assert union_bound(g) == (3, True)
+    assert sorted(built) == sorted([canonical_form(P(4)), canonical_form(g)])
+    built.clear()
+    g = disjoint_union(3, cycle(5))
+    assert _check_conj_uniform_cards(g, evaluate_graph(g))
+    built.clear()
+    assert _check_conj_uniform_cards(g, evaluate_graph(g))
+    assert built == [canonical_form(cycle(5))]
 
 
 def test_union_bound_rejects_uniform_cards():

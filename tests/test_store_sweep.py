@@ -1,3 +1,4 @@
+import random
 import re
 import subprocess
 import sys
@@ -9,14 +10,21 @@ from functools import lru_cache
 import pytest
 
 from reconkit import (
+    Certificate,
+    DaEcard,
     Graph,
     GraphError,
     canonical_form,
+    caterpillar_graph,
     complete,
     disjoint_union,
+    enumerate_trees,
     graph_union,
+    identifying_pair,
+    is_path_sequence,
     parse_family_spec,
     path,
+    seq_of,
     star,
 )
 from reconkit import decks, families, graphs, recon
@@ -239,15 +247,18 @@ def test_tree_sweep_counts_and_claim(tmp_path):
 
 
 def test_small_group_store_writes_the_same_records(monkeypatch):
-    # with the group store capped at 64, a cold sweep_trees(9) evicts groups
-    # least recently used first and _aut searches the canonical graph of an
-    # evicted certificate again; the numbers and witnesses are unchanged
+    # with the group and shape stores capped at 64, a cold sweep_trees(9)
+    # evicts groups and shapes least recently used first, so canonical_form
+    # searches a graph whose shape is evicted and _aut the canonical graph
+    # of an evicted certificate again; the numbers and witnesses are
+    # unchanged
     searches = []
     search = graphs._least_leaf_code
     monkeypatch.setattr(graphs, "_least_leaf_code", lambda g: searches.append(g) or search(g))
 
     def cold_records():
         monkeypatch.setattr(graphs, "_groups", OrderedDict())
+        monkeypatch.setattr(graphs, "_shapes", OrderedDict())
         for cached in (canonical_form, recon._scan, recon._context):
             cached.cache_clear()
         searches.clear()
@@ -258,19 +269,23 @@ def test_small_group_store_writes_the_same_records(monkeypatch):
     monkeypatch.setattr(graphs, "_GROUPS_CAP", 64)
     small_cap_records, small_cap_searches = cold_records()
     assert small_cap_records == records
-    assert len(graphs._groups) == 64 and small_cap_searches > default_searches
+    assert len(graphs._groups) == len(graphs._shapes) == 64
+    assert small_cap_searches > default_searches
 
 
 def test_small_label_cache_writes_the_same_records(monkeypatch):
     # with canonical_form's cache capped at 64 in every module that binds
-    # it, a cold sweep_trees(9) evicts labels and searches graphs again;
-    # the numbers and witnesses are unchanged
+    # it, a cold sweep_trees(9) evicts labels and, with the shape and group
+    # stores capped at 64 too, searches graphs again; the numbers and
+    # witnesses are unchanged
+    monkeypatch.setattr(graphs, "_GROUPS_CAP", 64)
     searches = []
     search = graphs._least_leaf_code
     monkeypatch.setattr(graphs, "_least_leaf_code", lambda g: searches.append(g) or search(g))
 
     def cold_records():
         monkeypatch.setattr(graphs, "_groups", OrderedDict())
+        monkeypatch.setattr(graphs, "_shapes", OrderedDict())
         for cached in (graphs.canonical_form, recon._scan, recon._context):
             cached.cache_clear()
         searches.clear()
@@ -305,6 +320,67 @@ def test_cold_tree_sweep_searches_no_tree_it_evaluates(monkeypatch):
     monkeypatch.setattr(sweep_module, "evaluate_graph", lambda g: evaluated.append(g) or evaluate(g))
     assert sweep_trees(9, "dern-le-2", None).computed == len(evaluated) == 47
     assert set(searched) & set(evaluated) == set()
+
+
+def test_cold_tree_sweep_searches_each_class_once(monkeypatch):
+    # a cold sweep_trees(9), enumeration included, searches no class twice:
+    # a graph met again under another labeling is found by its shape, also
+    # after canonical_form's cache, here capped at 64, has evicted it
+    searched = []
+    search = graphs._least_leaf_code
+
+    def counted(g):
+        found = search(g)
+        searched.append(Certificate(g.n, g.m, found[0]))
+        return found
+
+    monkeypatch.setattr(graphs, "_least_leaf_code", counted)
+    label = graphs.canonical_form.__wrapped__
+    per_cache = []
+    for cap in (1 << 12, 64):
+        cached_label = lru_cache(cap)(label)
+        for module in (graphs, decks, families, recon, sweep_module):
+            monkeypatch.setattr(module, "canonical_form", cached_label)
+        monkeypatch.setattr(graphs, "_groups", OrderedDict())
+        monkeypatch.setattr(graphs, "_shapes", OrderedDict())
+        for cached in (families._trees, recon._scan, recon._context):
+            cached.cache_clear()
+        searched.clear()
+        assert len(sweep_trees(9, "dern-le-2", None).records) == 47
+        assert len(searched) == len(set(searched))
+        per_cache.append(sorted(searched))
+    assert per_cache[0] == per_cache[1]
+
+
+def test_pair_certifies_reads_the_evaluated_deck(monkeypatch):
+    # after evaluate_graph(t), the identifying-pair check builds no deck;
+    # da-ecards outside t's da-edeck do not certify
+    built = []
+    build = decks._deck_of_cert
+    for module in (decks, recon):
+        monkeypatch.setattr(module, "_deck_of_cert", lambda c: built.append(c) or build(c))
+    rng = random.Random(3)
+    checked = 0
+    for t in enumerate_trees(9):
+        s = seq_of(t)
+        if s is None or is_path_sequence(s):
+            continue
+        try:
+            cards = identifying_cards(s, identifying_pair(s))
+        except ValueError:  # no identifying pair
+            continue
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        t = caterpillar_graph(s).permuted(perm)
+        evaluate_graph(t)
+        built.clear()
+        pair_certifies(t, cards)
+        (card, d), rest = cards[0], cards[1:]
+        assert not pair_certifies(t, (DaEcard(card, d + 1),) + rest)
+        assert not pair_certifies(t, cards * t.m)
+        assert built == []
+        checked += 1
+    assert checked == 21
 
 
 def test_census_claim_lists_expected_trees(tmp_path):
