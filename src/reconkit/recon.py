@@ -11,18 +11,22 @@ H's multiplicity on C without building H's deck:
 
     m_H(C) = #{non-edges f of C : C + f = H} * |Aut H| / |Aut C|
 
+It depends on C and H alone, so C's scan computes it once for every
+graph with card C.
+
 A card fixes the degree of the edge it lost:
 sum deg^2(H) = sum deg^2(H - e) + 2 d(e) + 2.  So C occurs in G's da-edeck
 with one d, and the edges e of H with H - e = C all have degree d exactly
 when sum deg^2(H) = sum deg^2(G).  The da-blockers are the blockers with
 G's sum of squared degrees, those that C + f reaches for a non-edge f of
 degree d, and their multiplicities are unchanged.  One blocker pass per
-graph is therefore read as two views, the edge-deck's and the da one.
+graph therefore holds one index over all blockers, keyed by card, and
+the da view is that index under the mask of the da-blockers.
 
 The minimum variants (ern, dern) find the smallest sub-multiset of the deck
 contained in no blocker's deck, each query an AND of per-card bitmasks over
-the blockers; the adversary variants equal one plus the largest overlap
-between G's deck and a blocker's.
+the view's blockers; the adversary variants equal one plus the largest
+overlap between G's deck and a blocker's.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .decks import (
     DaEcard,
@@ -95,21 +100,40 @@ def extensions(card: Graph, d: int | None = None) -> Deck:
     its automorphism group (``graphs._pair_orbits``), weighted by the
     orbit's size.  One scan per card class serves every d.
     """
-    return _scan(canonical_form(card)).get(d, Deck({}))
+    return _scan(canonical_form(card))[0].get(d, Deck({}))
 
 
 @lru_cache(maxsize=1 << 14)
-def _scan(cert: Certificate) -> dict:
+def _scan(cert: Certificate) -> tuple:
+    """The card class's one walk of its non-edge orbits: the extension
+    Decks by d (None for every pair), and in the None Deck's key order each
+    extension H's multiplicity m_H(C) on the card (module docstring).
+    ArithmeticError when a group order makes some m_H(C) fractional."""
     c = certificate_graph(cert)
     degs = c.degrees()
+    card_order, gens = _aut(cert)
     pairs = (p for p in combinations(range(c.n), 2) if not c.has_edge(*p))
-    counts: dict = {}
-    for (u, v), size in _pair_orbits(_aut(cert)[1], pairs):
+    counts, orders = {}, {}
+    for (u, v), size in _pair_orbits(gens, pairs):
         key = canonical_form(c.add_edge(u, v))
+        if key not in orders:
+            # read next to the labeling, which stores the group when it
+            # searches, so an evicting group store rarely searches again
+            orders[key] = _aut(key)[0]
         for d in (None, degs[u] + degs[v]):
             by_key = counts.setdefault(d, {})
             by_key[key] = by_key.get(key, 0) + size
-    return {d: Deck(by_key) for d, by_key in counts.items()}
+    by_d = {d: Deck(by_key) for d, by_key in counts.items()}
+    mults = []
+    for h, f in by_d.get(None, Deck({})).items():
+        m, rest = divmod(f * orders[h], card_order)
+        if rest:
+            raise ArithmeticError(
+                f"{f} * |Aut {h.canon}| is not divisible by |Aut {cert.canon}|"
+                f" = {card_order}: a group order is wrong"
+            )
+        mults.append(m)
+    return by_d, tuple(mults)
 
 
 def determines(card: Graph, d: int, origin: Graph) -> bool:
@@ -127,55 +151,61 @@ def determines(card: Graph, d: int, origin: Graph) -> bool:
 def blockers(g: Graph, da: bool) -> list:
     """Every H (up to isomorphism, H != G) sharing at least one (da-)ecard
     with g.  Complete: a shared card C forces H = C plus one edge."""
-    return [certificate_graph(c) for c in _context(_edged_cert(g, da))[da][1]]
+    ctx = _context(_edged_cert(g, da))
+    mask = ctx.masks[da]
+    return [certificate_graph(h) for i, h in enumerate(ctx.hs) if mask >> i & 1]
 
 
-def _multiplicities(gcert: Certificate) -> tuple:
-    """The class's one blocker pass, as (deck, multiplicities) for the
-    edge-deck view and then the da view (module docstring): each view's
-    blockers in increasing certificate order to their multiplicities on
-    the view's deck keys."""
-    da_deck, deck, cards = _deck_of_cert(gcert)
-    mults, same_sq = {}, set()
-    for key, card_graph in zip(da_deck, cards):
-        card_order = _aut(key.card)[0]
-        for h, f in extensions(card_graph).items():
-            if h == gcert:
-                continue
-            m, rest = divmod(f * _aut(h)[0], card_order)
-            if rest:
-                raise ArithmeticError(
-                    f"{f} * |Aut {h.canon}| is not divisible by |Aut {key.card.canon}|"
-                    f" = {card_order}: a group order is wrong"
-                )
-            mults.setdefault(h, {})[key] = m
-        same_sq.update(extensions(card_graph, key.d))
-    hs = sorted(mults)
-    plain = {h: {key.card: m for key, m in mults[h].items()} for h in hs}
-    return (deck, plain), (da_deck, {h: mults[h] for h in hs if h in same_sq})
+class _Pass(NamedTuple):
+    """The class's one blocker pass (module docstring).  ``decks``,
+    ``masks`` and ``best`` hold the edge-deck view, then the da view."""
+
+    decks: tuple  # the edge-deck and the da-edeck, keys in the same order
+    hs: tuple  # every blocker's certificate, in increasing order
+    index: dict  # card -> rows: bit i of row x - 1 is set if m_hs[i](card) >= x
+    masks: tuple  # each view's blockers, bit i for hs[i]
+    best: tuple  # each view's (max_shared, i of its first blocker or -1)
 
 
 @lru_cache(maxsize=2048)
-def _context(gcert: Certificate) -> tuple:
-    """The edge-deck view and the da view of the class's blocker pass."""
-    return tuple(_view(deck, mults) for deck, mults in _multiplicities(gcert))
+def _context(gcert: Certificate) -> _Pass:
+    """Builds the pass from the class's deck and its cards' scans: one
+    index with rows up to the deck's own multiplicity of each card, the
+    da view's mask of the blockers that a card reaches through a non-edge
+    of its d, and each view's largest overlap with a blocker's deck."""
+    da_deck, deck, cards = _deck_of_cert(gcert)
+    scans, reached = [], set()
+    for key, card in zip(da_deck, cards):
+        reached.update(extensions(card, key.d))
+        scans.append(_scan(key.card))
+    hs = tuple(sorted(set().union(*(by_d[None] for by_d, _mults in scans)) - {gcert}))
+    pos = {h: i for i, h in enumerate(hs)}
+    reached.discard(gcert)
+    index, shared = {}, [0] * len(hs)
+    for card, (by_d, mults) in zip(deck, scans):
+        x = deck.mult(card)
+        rows = [0] * x
+        for h, m in zip(by_d[None], mults):
+            i = pos.get(h)
+            if i is None:  # g itself
+                continue
+            bit, top = 1 << i, min(m, x)
+            for j in range(top):
+                rows[j] |= bit
+            shared[i] += top
+        index[card] = tuple(rows)
+    masks = ((1 << len(hs)) - 1, sum(1 << pos[h] for h in reached))
+    best = [(0, -1), (0, -1)]
+    for i, s in enumerate(shared):
+        for da in (False, True):
+            if s > best[da][0] and masks[da] >> i & 1:
+                best[da] = s, i
+    return _Pass((deck, da_deck), hs, index, masks, tuple(best))
 
 
-def _view(deck: Deck, mults: dict) -> tuple:
-    """The deck, its blockers' certificates, the ``blocked`` index (per deck
-    key, entry x - 1 has bit i set if blocker i reaches multiplicity x), the
-    deck's largest overlap with a blocker's deck, and the first blocker
-    reaching it with its multiplicities (None and {} without blockers)."""
-    index = {key: [0] * deck.mult(key) for key in deck}
-    max_shared, example = 0, None
-    for i, (h, on_keys) in enumerate(mults.items()):
-        for key, m in on_keys.items():
-            for x in range(min(m, deck.mult(key))):
-                index[key][x] |= 1 << i
-        shared = sum(min(m, deck.mult(key)) for key, m in on_keys.items())
-        if shared > max_shared:
-            max_shared, example = shared, h
-    return deck, tuple(mults), index, max_shared, example, mults.get(example, {})
+def _rows(ctx: _Pass, key) -> tuple:
+    """The index rows of a deck key of either view."""
+    return ctx.index[key.card if isinstance(key, DaEcard) else key]
 
 
 def blocked(g: Graph, cards: Deck, da: bool) -> bool:
@@ -186,13 +216,13 @@ def blocked(g: Graph, cards: Deck, da: bool) -> bool:
     multiplicities are known only on g's keys; ValueError otherwise.  An
     empty multiset is blocked exactly when g has a blocker.
     """
-    hs, index = _context(_edged_cert(g, da))[da][1:3]
-    reach = (1 << len(hs)) - 1
+    ctx = _context(_edged_cert(g, da))
+    deck, reach = ctx.decks[da], ctx.masks[da]
     for key in cards:
         x = cards.mult(key)
-        if x > len(index.get(key, ())):
+        if x > deck.mult(key):
             raise ValueError("cards are not a sub-multiset of the graph's own deck")
-        reach &= index[key][x - 1]
+        reach &= _rows(ctx, key)[x - 1]
     return reach != 0
 
 
@@ -214,28 +244,38 @@ def _witness_vectors(mults, k):
 def recon_number(g: Graph, da: bool = False) -> ReconResult:
     """Smallest k such that some k-sub-multiset of the (da-)edeck of g is
     contained in no blocker's deck (ern for da=False, dern for da=True)."""
-    deck, _hs, _index, max_shared, example = _context(_edged_cert(g, da))[da][:5]
-    example = None if example is None else certificate_graph(example)
+    ctx = _context(_edged_cert(g, da))
+    deck, (max_shared, i) = ctx.decks[da], ctx.best[da]
+    example = None if i < 0 else certificate_graph(ctx.hs[i])
     if max_shared == deck.total:
         return ReconResult(None, (), max_shared, example)
     keys = deck.keys()
-    mults = [deck.mult(key) for key in keys]
+    rows = [_rows(ctx, key) for key in keys]
     # no blocker shares more than max_shared cards, so the search ends there
     for k in range(1, max_shared + 2):
-        for vec in _witness_vectors(mults, k):
-            chosen = tuple((key, x) for key, x in zip(keys, vec) if x)
-            if not blocked(g, Deck(chosen), da):
+        for vec in _witness_vectors([len(r) for r in rows], k):
+            reach = ctx.masks[da]
+            for row, x in zip(rows, vec):
+                if x:
+                    reach &= row[x - 1]
+            if not reach:
+                chosen = tuple((key, x) for key, x in zip(keys, vec) if x)
                 return ReconResult(k, chosen, max_shared, example)
 
 
 def adv_recon_number(g: Graph, da: bool = False) -> ReconResult:
     """Least k such that every k-sub-multiset of the deck is unblocked:
     1 + the largest deck intersection with any blocker."""
-    deck, _hs, _index, max_shared, example, on_keys = _context(_edged_cert(g, da))[da]
-    example = None if example is None else certificate_graph(example)
+    ctx = _context(_edged_cert(g, da))
+    deck, (max_shared, i) = ctx.decks[da], ctx.best[da]
+    if i < 0:
+        return ReconResult(1, (), 0, None)
+    example = certificate_graph(ctx.hs[i])
     if max_shared == deck.total:
         return ReconResult(None, (), max_shared, example)
-    overlap = ((key, min(m, on_keys.get(key, 0))) for key, m in deck.items())
+    # the example's multiplicity on a key, capped at the deck's, is the
+    # number of the key's rows holding its bit
+    overlap = ((key, sum(row >> i & 1 for row in _rows(ctx, key))) for key in deck)
     witness = tuple((key, x) for key, x in overlap if x)
     return ReconResult(max_shared + 1, witness, max_shared, example)
 
@@ -275,7 +315,7 @@ def union_bound(g: Graph) -> tuple:
     if h is None:
         raise GraphError("need at least two components, all isomorphic")
     # H's deck is read from the blocker pass that adv_recon_number reads
-    deck = _context(canonical_form(h))[False][0] if h.m else Deck({})
+    deck = _context(canonical_form(h)).decks[False] if h.m else Deck({})
     if len(deck) < 2:
         raise GraphError("all edge-cards of the component are isomorphic")
     adv = adv_recon_number(h, da=False).value

@@ -334,5 +334,5 @@ def pair_certifies(t: Graph, cards) -> bool:
     blocker's da-edeck.  The deck is read from t's blocker pass, which
     ``evaluate_graph(t)`` has already made."""
     need = Deck(Counter(cards))
-    da_deck = _context(_edged_cert(t, True))[True][0]
+    da_deck = _context(_edged_cert(t, True)).decks[True]
     return sub_multiset(need, da_deck) and not blocked(t, need, True)

@@ -1,8 +1,10 @@
 """The behaviour baseline: one SHA-256 over every answer the blocker search
-gives on a fixed set of small graphs.
+gives on a fixed set of small graphs, and one over every tree on 10
+vertices, the trees the tree-sweep benchmark evaluates.
 
-The digest was computed before blocker multiplicities came from double
-counting, with every blocker's deck built in full.  A refactor of the
+The first digest was computed before blocker multiplicities came from
+double counting, with every blocker's deck built in full, the second
+before the two views of the blocker pass shared one index.  A refactor of the
 labeler or of the blocker search that changes any number, witness,
 ``max_shared``, blocker example or blocker list changes the digest.
 """
@@ -20,6 +22,7 @@ from reconkit import (
 )
 
 BASELINE_SHA256 = "86e4bdd98e736998cf94b16af8706f2a10442a718e6fadcf184c7c82b860bcf1"
+TREES_10_SHA256 = "34ee0b39bf65ed0bad6918ccc595edead5e54e7d0c0e063b65d316aec1c044e8"
 
 
 def _key_text(key) -> str:
@@ -34,12 +37,9 @@ def _result_text(res) -> str:
     return f"{res.value} [{witness}] {res.max_shared} {example}"
 
 
-def baseline_lines():
+def _lines(graphs):
     """One line per (graph, da): the canonical graph6, both results and
-    the sorted blockers; every graph with n <= 6 and an edge, then every
-    tree with 7 <= n <= 9."""
-    graphs = [g for n in range(2, 7) for g in enumerate_graphs(n) if g.m >= 1]
-    graphs += [t for n in range(7, 10) for t in enumerate_trees(n)]
+    the sorted blockers."""
     for g in graphs:
         canon = canonical_form(g).canon
         for da in (False, True):
@@ -53,6 +53,14 @@ def baseline_lines():
             ])
 
 
+def baseline_lines():
+    """Every graph with n <= 6 and an edge, then every tree with
+    7 <= n <= 9, one line per (graph, da) as in ``_lines``."""
+    graphs = [g for n in range(2, 7) for g in enumerate_graphs(n) if g.m >= 1]
+    graphs += [t for n in range(7, 10) for t in enumerate_trees(n)]
+    yield from _lines(graphs)
+
+
 def test_behaviour_matches_baseline():
     digest = hashlib.sha256()
     count = 0
@@ -61,3 +69,13 @@ def test_behaviour_matches_baseline():
         count += 1
     assert count == 2 * (1 + 3 + 10 + 33 + 155 + 11 + 23 + 47)
     assert digest.hexdigest() == BASELINE_SHA256
+
+
+def test_trees_on_10_vertices_match_their_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for line in _lines(enumerate_trees(10)):
+        digest.update(line.encode() + b"\n")
+        count += 1
+    assert count == 2 * 106
+    assert digest.hexdigest() == TREES_10_SHA256

@@ -235,6 +235,29 @@ def test_blocked_matches_blocker_decks_n5():
                 assert blocked(g, cards, da) == want, (g, da, cards)
 
 
+def blocker_multiplicities(g, da):
+    """The blockers of g's (da=True: da) view, in the pass's order, each to
+    its multiplicities on the view's deck keys as g's card scans counted
+    them.  Checks that the pass's index holds every blocker's, capped at
+    the deck's own multiplicity, and that the view's mask selects it."""
+    ctx = recon._context(canonical_form(g))
+    deck, mask = ctx.decks[da], ctx.masks[da]
+    on_card = {}
+    for key in deck:
+        by_d, mults = recon._scan(key.card if da else key)
+        on_card[key] = dict(zip(by_d[None], mults))
+    found = {}
+    for i, h in enumerate(ctx.hs):
+        on_keys = {key: on[h] for key, on in on_card.items() if h in on}
+        for key in deck:
+            rows = ctx.index[key.card if da else key]
+            held = sum(row >> i & 1 for row in rows)
+            assert held == min(on_keys.get(key, 0), deck.mult(key))
+        if mask >> i & 1:
+            found[h] = on_keys
+    return found
+
+
 def test_blocker_multiplicities_match_built_decks():
     # the double-counted multiplicities equal each blocker's freshly built
     # deck on the graph's own keys, for all graphs with n <= 6 and all
@@ -242,11 +265,10 @@ def test_blocker_multiplicities_match_built_decks():
     graphs = [g for n in range(2, 7) for g in enumerate_graphs(n) if g.m >= 1]
     graphs += [t for n in range(7, 10) for t in enumerate_trees(n)]
     for g in graphs:
-        views = recon._multiplicities(canonical_form(g))
         for da in (False, True):
             deck_of = da_edeck if da else edge_deck
             deck = deck_of(g)
-            mults = views[da][1]
+            mults = blocker_multiplicities(g, da)
             assert list(mults) == sorted(mults)
             for h, on_keys in mults.items():
                 built = deck_of(certificate_graph(h))
@@ -277,8 +299,7 @@ def test_da_context_is_the_plain_context_at_equal_degree_squares():
             reached.update(map(canonical_form, oracles.one_edge_extensions(card)))
             da_reached.update(map(canonical_form, oracles.one_edge_extensions(card, d)))
         deck, da_deck = edge_deck(g), da_edeck(g)
-        plain, da = recon._multiplicities(gcert)
-        mults, da_mults = plain[1], da[1]
+        mults, da_mults = (blocker_multiplicities(g, da) for da in (False, True))
         assert list(mults) == sorted(reached - {gcert})
         assert list(da_mults) == sorted(da_reached - {gcert})
         assert [(key.card, m) for key, m in da_deck.items()] == deck.items()
@@ -307,8 +328,12 @@ def test_context_rejects_a_wrong_group_order(monkeypatch):
     # one more than the true order: f * |Aut H| / |Aut C| stops dividing
     true_aut = recon._aut
     monkeypatch.setattr(recon, "_aut", lambda cert: (true_aut(cert)[0] + 1, true_aut(cert)[1]))
-    with pytest.raises(ArithmeticError, match="group order is wrong"):
-        recon._context.__wrapped__(canonical_form(P(5)))
+    recon._scan.cache_clear()  # the check runs when a card class is scanned
+    try:
+        with pytest.raises(ArithmeticError, match="group order is wrong"):
+            recon._context.__wrapped__(canonical_form(P(5)))
+    finally:
+        recon._scan.cache_clear()  # a scan that divided by chance is wrong
 
 
 def test_blockers_and_examples_are_canonical_graphs():
@@ -537,6 +562,26 @@ def test_each_card_class_is_scanned_once(monkeypatch):
     cards = {key.card for t in trees for key in da_edeck(t)}
     info = recon._scan.cache_info()
     assert info.misses == info.currsize == len(cards)
+
+
+def test_group_orders_are_read_once_per_card_class_and_extension(monkeypatch):
+    # with cold caches, evaluating every tree on 9 vertices reads |Aut C|
+    # once per card class C and |Aut H| once per extension class H of C:
+    # m_H(C) is computed in C's scan and shared by every tree with card C
+    monkeypatch.setattr(graphs, "_groups", OrderedDict())
+    monkeypatch.setattr(graphs, "_shapes", OrderedDict())
+    for cached in (canonical_form, recon._scan, recon._context):
+        cached.cache_clear()
+    reads = []
+    read = recon._aut
+    monkeypatch.setattr(recon, "_aut", lambda cert: reads.append(cert) or read(cert))
+    trees = list(enumerate_trees(9))
+    for t in trees:
+        evaluate_graph(t)
+    cards = {key.card for t in trees for key in da_edeck(t)}
+    pairs = sum(len(extensions(certificate_graph(c))) for c in cards)
+    assert (len(cards), pairs) == (46, 609)
+    assert len(reads) <= len(cards) + pairs
 
 
 def test_one_blocker_pass_per_graph(monkeypatch):
