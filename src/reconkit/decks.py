@@ -14,6 +14,7 @@ that deck with d dropped, one key for each key.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from .graphs import (
@@ -47,12 +48,16 @@ class DaEcard(NamedTuple):
 
 class Deck:
     """Multiset of deck keys (Certificate or DaEcard) with multiplicities,
-    held in increasing key order, which every view of the deck reads."""
+    held in increasing key order, which every view of the deck reads.
+    Built from a mapping or from (key, multiplicity) pairs, each key once."""
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        items = dict(entries)
+        pairs = entries.items() if isinstance(entries, Mapping) else list(entries)
+        items = dict(pairs)
+        if len(items) < len(pairs):
+            raise ValueError("deck entries repeat a key")
         for key, mult in items.items():
             if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
                 raise ValueError(f"multiplicity for {key!r} must be a positive int")

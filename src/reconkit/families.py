@@ -14,7 +14,6 @@ which make each tree exactly once, so each tree is labeled once.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
 
 from .caterpillar import CaterpillarSeq
 from .graphs import (
@@ -254,22 +253,14 @@ def _tree(levels) -> Graph:
     return Graph._raw(n, tuple(rows))
 
 
-@lru_cache(maxsize=None)
-def _trees(n: int) -> tuple:
-    """(certificate, tree) of every tree on n vertices, one per isomorphism
-    class, in increasing certificate order.  Each tree keeps the labels of
-    its level sequence and is labeled once, by ``canonical_form``, which
-    also stores its automorphism group."""
-    pairs = ((canonical_form(t), t) for t in map(_tree, _level_sequences(n)))
-    return tuple(sorted(pairs, key=itemgetter(0)))
-
-
 def enumerate_trees(n: int):
     """All free trees on n vertices, one canonical graph per isomorphism
-    class, in increasing certificate order."""
+    class, in increasing certificate order.  Each tree of a level sequence
+    is labeled once, by ``canonical_form``, which also stores its shape and
+    automorphism group, so its canonical graph is found without a search."""
     if not 1 <= n <= MAX_TREE_N:
         raise GraphError(f"tree enumeration supports 1..{MAX_TREE_N}, got {n}")
-    for cert, _t in _trees(n):
+    for cert in sorted(canonical_form(t) for t in map(_tree, _level_sequences(n))):
         yield certificate_graph(cert)
 
 

@@ -19,10 +19,10 @@ from .decks import DaEcard, Deck, _edged_cert, edge_deck, sub_multiset
 from .families import (
     MAX_GRAPH_N,
     MAX_TREE_N,
-    _trees,
     caterpillar_graph,
     disjoint_union,
     enumerate_graphs,
+    enumerate_trees,
     parse_family_spec,
 )
 from .graphs import (
@@ -245,13 +245,8 @@ def _sweep_tree_scope(
     if n > DEFAULT_TREE_CAP and not force:
         raise GraphError(f"{label} sweep capped at n={DEFAULT_TREE_CAP}; use force")
 
-    def graphs():
-        # the trees _trees labeled, so canonical_form finds them in its cache
-        for _cert, t in _trees(n):
-            if keep(t):
-                yield t
-
-    return _run_sweep(f"{label}s n={n}", graphs(), claim, store_path)
+    graphs = (t for t in enumerate_trees(n) if keep(t))
+    return _run_sweep(f"{label}s n={n}", graphs, claim, store_path)
 
 
 def sweep_trees(

@@ -187,6 +187,10 @@ def test_format_deck():
 def test_deck_validation():
     with pytest.raises(ValueError):
         Deck({cert(P(3)): 0})
+    # pairs that repeat a key are not merged into a wrong multiset
+    with pytest.raises(ValueError, match="repeat a key"):
+        Deck([(cert(P(3)), 1), (cert(P(3)), 2)])
+    assert Deck([(cert(P(3)), 1), (cert(P(4)), 2)]).total == 3
 
 
 def test_deck_rejects_bool_multiplicities():

@@ -171,9 +171,12 @@ def test_level_sequences_make_each_tree_once_without_labeling(monkeypatch):
 def test_cold_tree_census_labels_each_tree_once(monkeypatch):
     calls = count_searches(monkeypatch)
     monkeypatch.setattr(graphs, "_shapes", OrderedDict())
-    families._trees.cache_clear()
     canonical_form.cache_clear()
-    assert len(list(enumerate_trees(12))) == len(calls) == 551
+    trees = list(enumerate_trees(12))
+    assert len(trees) == len(calls) == 551
+    # enumeration keeps nothing, and a second one searches no tree again
+    calls.clear()
+    assert list(enumerate_trees(12)) == trees and calls == []
 
 
 def census_digest(graphs) -> str:

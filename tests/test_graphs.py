@@ -243,16 +243,17 @@ def test_aut_reads_the_group_of_the_search_that_made_the_certificate(monkeypatch
                 assert sorted(gen) == list(range(n))
                 assert g.permuted(list(gen)) == g, (cert, gen)
     # a cold tree census labels each tree once, by canonical_form, which
-    # stores its group: _aut then reads it without a search
+    # stores its shape and group: each canonical tree is then found by its
+    # shape and _aut reads its group, without a search
     monkeypatch.setattr(graphs, "_groups", OrderedDict())
     monkeypatch.setattr(graphs, "_shapes", OrderedDict())
-    families._trees.cache_clear()
     canonical_form.cache_clear()
     calls.clear()
-    assert len(list(enumerate_trees(9))) == len(calls) == len(graphs._groups) == 47
+    trees = list(enumerate_trees(9))
+    assert len(trees) == len(calls) == len(graphs._groups) == 47
     calls.clear()
-    for cert, t in families._trees(9):
-        assert _aut(cert)[0] == automorphism_count(t), t
+    for t in trees:
+        assert _aut(canonical_form(t))[0] == automorphism_count(t), t
     assert calls == []
 
 
@@ -349,7 +350,7 @@ def test_shape_is_exact_on_graphs_with_at_most_one_cycle_per_component():
     cards = [
         t.remove_edge(u, v)
         for n in range(2, 11)
-        for _cert, t in families._trees(n)
+        for t in enumerate_trees(n)
         for u, v in t.edges()
     ]
     one_per_class = {ir1_certificate(c): c for c in cards}.values()

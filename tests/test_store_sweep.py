@@ -277,34 +277,34 @@ def test_small_label_cache_writes_the_same_records(monkeypatch):
     # with canonical_form's cache capped at 64 in every module that binds
     # it, a cold sweep_trees(9) evicts labels and, with the shape and group
     # stores capped at 64 too, searches graphs again; the numbers and
-    # witnesses are unchanged
+    # witnesses are unchanged.  Both runs ask canonical_form for the same
+    # graphs in the same order, so the 64-entry cache misses whenever the
+    # 4,096-entry one does, and also on a graph asked for again after more
+    # than 64 others
     monkeypatch.setattr(graphs, "_GROUPS_CAP", 64)
-    searches = []
-    search = graphs._least_leaf_code
-    monkeypatch.setattr(graphs, "_least_leaf_code", lambda g: searches.append(g) or search(g))
 
     def cold_records():
         monkeypatch.setattr(graphs, "_groups", OrderedDict())
         monkeypatch.setattr(graphs, "_shapes", OrderedDict())
         for cached in (graphs.canonical_form, recon._scan, recon._context):
             cached.cache_clear()
-        searches.clear()
         report = sweep_trees(9, "dern-le-2", None)
-        return [replace(r, elapsed_ms=0) for r in report.records], len(searches)
+        misses = graphs.canonical_form.cache_info().misses
+        return [replace(r, elapsed_ms=0) for r in report.records], misses
 
-    records, default_searches = cold_records()
+    records, default_misses = cold_records()
     small = lru_cache(64)(graphs.canonical_form.__wrapped__)
     for module in (graphs, decks, families, recon, sweep_module):
         monkeypatch.setattr(module, "canonical_form", small)
-    small_cap_records, small_cap_searches = cold_records()
+    small_cap_records, small_cap_misses = cold_records()
     assert small_cap_records == records
-    assert small.cache_info().currsize == 64 and small_cap_searches > default_searches
+    assert small.cache_info().currsize == 64 and small_cap_misses > default_misses
 
 
 def test_cold_tree_sweep_searches_no_tree_it_evaluates(monkeypatch):
-    # enumeration labels each generated tree, and the sweep evaluates those
-    # very graphs, so their labelings are cache hits from then on
-    families._trees.cache_clear()
+    # enumeration labels each generated tree, and the sweep evaluates the
+    # canonical graphs of those trees, which canonical_form finds by their
+    # shape without a search
     canonical_form.cache_clear()
     searched, evaluated = [], []
     search = graphs._least_leaf_code
@@ -343,7 +343,7 @@ def test_cold_tree_sweep_searches_each_class_once(monkeypatch):
             monkeypatch.setattr(module, "canonical_form", cached_label)
         monkeypatch.setattr(graphs, "_groups", OrderedDict())
         monkeypatch.setattr(graphs, "_shapes", OrderedDict())
-        for cached in (families._trees, recon._scan, recon._context):
+        for cached in (recon._scan, recon._context):
             cached.cache_clear()
         searched.clear()
         assert len(sweep_trees(9, "dern-le-2", None).records) == 47
@@ -473,6 +473,15 @@ def test_disconnected_sweep_uniform_cards_conjecture():
 def test_caterpillar_sweep_certification():
     report = sweep_caterpillars(7, "dern-le-2", None)
     assert not report.failed
+    # the caterpillar scope is the tree sweep restricted to caterpillars,
+    # record for record and in the same order
+    for n in range(2, 11):
+        trees = sweep_trees(n, "dern-le-2", None).records
+        kept = [r for t, r in zip(enumerate_trees(n), trees) if seq_of(t) is not None]
+        caterpillars = sweep_caterpillars(n, "dern-le-2", None).records
+        assert [replace(r, elapsed_ms=0) for r in caterpillars] == [
+            replace(r, elapsed_ms=0) for r in kept
+        ], n
     from reconkit import caterpillar_graph, identifying_pair
 
     s = CaterpillarSeq((3, 3))
