@@ -7,8 +7,10 @@ blocks in order), which the sequence and deck machinery rely on.
 
 Both enumerators yield one canonical graph per isomorphism class in
 increasing certificate order.  Graphs come from canonical augmentation,
-which labels every candidate child; trees come from level sequences,
-which make each tree exactly once, so each tree is labeled once.
+which labels only the candidate children whose new vertex has least
+degree and the greatest vertex invariant, read from the parent before the
+child is built; trees come from level sequences, which make each tree
+exactly once, so each tree is labeled once.
 """
 
 from __future__ import annotations
@@ -147,16 +149,23 @@ def _census(n: int) -> tuple:
 
     Canonical augmentation (McKay, Isomorph-free exhaustive generation,
     1998): each class on n - 1 vertices gets a new vertex joined to one
-    vertex set per orbit of its automorphism group.  A child is kept when
-    the new vertex is in the orbit of its canonical vertex, the last of
-    least degree in canonical order, so each class is made exactly once:
-    from the class of the child minus that vertex.
+    vertex set per orbit of its automorphism group.  A vertex's invariant
+    is the sorted tuple of its neighbours' degrees.  The canonical vertex
+    of a child is the last in canonical order among its vertices of least
+    degree with the greatest invariant; both choices are invariant under
+    isomorphism, so the rule picks one vertex orbit.  A child is kept when
+    the new vertex is in that orbit, so each class is made exactly once:
+    from the class of the child minus that vertex.  Degrees and invariants
+    come from the parent's rows, so a child whose new vertex lacks the
+    least degree or the greatest invariant is dropped before it is built
+    or labeled.
     """
     if n == 1:
         return ((Certificate(1, 0, 0), Graph.from_edges(1, []), ()),)
     new = n - 1
     found = []
-    for _cert, parent, pgens in _census(new):
+    for pcert, parent, pgens in _census(new):
+        rows = parent.rows
         degs = parent.degrees()
         least = min(degs)
         mins = sum(1 << v for v, d in enumerate(degs) if d == least)
@@ -165,20 +174,40 @@ def _census(n: int) -> tuple:
         masks = [
             nb for nb in range(1 << new) if nb.bit_count() <= least + (nb & mins == mins)
         ]
-        # each generator also permutes masks: degrees are invariant
-        images = [{x: sum(1 << p[v] for v in _bits(x)) for x in masks} for p in pgens]
+        # each generator also permutes masks (degrees are invariant), imaged
+        # lowest bit first: dropping it keeps a mask in the list, which ascends
+        images = []
+        for p in pgens:
+            low_image = {1 << v: 1 << p[v] for v in range(new)}
+            img = [0] * (1 << new)
+            for x in masks[1:]:
+                img[x] = img[x & x - 1] | low_image[x & -x]
+            images.append(img)
         seen = set()
         for nb in masks:
             if nb in seen:
                 continue
             seen |= _orbit(images, (), [nb])
-            child = parent.add_vertex(_bits(nb))
-            code, order, _path, gens = _least_leaf_code(child)
             low = nb.bit_count()
-            canon = next(v for v in reversed(order) if child.rows[v].bit_count() == low)
-            if canon == new or new in _orbit(gens, (), [canon]):
-                cert = Certificate(n, parent.m + low, code)
-                found.append((cert, child, tuple(dict.fromkeys(map(bytes, gens)))))
+            # the child's degrees, and the invariants of its least-degree vertices
+            cdegs = [d + (nb >> v & 1) for v, d in enumerate(degs)]
+            cdegs.append(low)
+            top = sorted(cdegs[u] for u in _bits(nb))
+            ties = [new]
+            for v, d in enumerate(cdegs[:new]):
+                if d == low:
+                    inv = sorted(cdegs[u] for u in _bits(rows[v] | (nb >> v & 1) << new))
+                    if inv > top:
+                        break  # a least-degree vertex beats the new one
+                    if inv == top:
+                        ties.append(v)
+            else:  # none does: label the child
+                child = parent.add_vertex(_bits(nb))
+                code, order, _path, gens = _least_leaf_code(child)
+                canon = next(v for v in reversed(order) if v in ties)
+                if canon == new or new in _orbit(gens, (), [canon]):
+                    cert = Certificate(n, pcert.m + low, code)
+                    found.append((cert, child, tuple(dict.fromkeys(map(bytes, gens)))))
     return tuple(sorted(found, key=lambda entry: entry[0]))
 
 
@@ -267,9 +296,13 @@ def enumerate_trees(n: int):
 def enumerate_graphs(n: int, m: int | None = None):
     """All graphs on n vertices (optionally with exactly m edges), one
     canonical graph per isomorphism class in increasing certificate order;
-    n is capped at oracle scale."""
+    n is capped at oracle scale, and m is an int in 0..n(n-1)/2."""
     if not 1 <= n <= MAX_GRAPH_N:
         raise GraphError(f"graph enumeration supports 1..{MAX_GRAPH_N}, got {n}")
+    if m is not None:
+        top = n * (n - 1) // 2
+        if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m <= top:
+            raise GraphError(f"edge count must be an integer in 0..{top}, got {m!r}")
     for cert, _g, _gens in _census(n):
         if m is None or cert.m == m:
             yield certificate_graph(cert)

@@ -129,8 +129,13 @@ def test_graph_counts():
     ]
     assert iso_classes_by_permutation(labeled_graphs(4)) == 11
     assert len(list(enumerate_graphs(5, 4))) == 6
+    assert len(list(enumerate_graphs(5, 0))) == len(list(enumerate_graphs(5, 10))) == 1
     with pytest.raises(GraphError):
         list(enumerate_graphs(9))
+    # an edge count is an int (not a bool) in 0..n(n-1)/2
+    for m in (True, False, 2.0, "4", -1, 11, 99):
+        with pytest.raises(GraphError):
+            list(enumerate_graphs(5, m))
     with pytest.raises(GraphError):
         list(enumerate_trees(17))
 
@@ -148,6 +153,20 @@ def count_searches(monkeypatch) -> list:
     for module in (graphs, families):
         monkeypatch.setattr(module, "_least_leaf_code", counted)
     return calls
+
+
+def test_cold_graph_census_labels_few_children_it_drops(monkeypatch):
+    # a child is labeled only when its new vertex has least degree and the
+    # greatest invariant; the search then decides between the tied vertices
+    calls = count_searches(monkeypatch)
+    families._census.cache_clear()
+    censuses = [families._census(n) for n in range(1, 8)]
+    classes = sum(len(census) for census in censuses[1:])
+    assert classes == 1251  # OEIS A000088, n = 2..7
+    assert classes <= len(calls) == 1299  # least degree alone labeled 1,639
+    for census in censuses:
+        certs = [cert for cert, _g, _gens in census]
+        assert len(set(certs)) == len(certs)
 
 
 # OEIS A000055: free trees on n unlabeled vertices, n = 0..16

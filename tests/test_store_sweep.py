@@ -713,6 +713,10 @@ def test_cli_family_and_errors():
     out = run_cli(["family", "list", "trees", "5", "--edges", "2"])
     assert out.returncode == 1 and out.stdout == ""
     assert "--edges applies to graphs only" in out.stderr
+    for edges in ("99", "-1"):
+        out = run_cli(["family", "list", "graphs", "5", "--edges", edges])
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("error: edge count") and out.stderr.count("\n") == 1
     out = run_cli(["deck", "not-a-graph"])
     assert out.returncode == 1
     out = run_cli(["nope"])
