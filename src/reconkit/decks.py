@@ -22,6 +22,7 @@ from .graphs import (
     Graph,
     GraphError,
     _aut,
+    _is_int,
     _pair_orbits,
     canonical_form,
     certificate_graph,
@@ -59,7 +60,7 @@ class Deck:
         if len(items) < len(pairs):
             raise ValueError("deck entries repeat a key")
         for key, mult in items.items():
-            if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
+            if not _is_int(mult) or mult < 1:
                 raise ValueError(f"multiplicity for {key!r} must be a positive int")
         self._entries = dict(sorted(items.items()))
 

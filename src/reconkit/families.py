@@ -24,6 +24,7 @@ from .graphs import (
     Graph,
     GraphError,
     _bits,
+    _is_int,
     _least_leaf_code,
     _orbit,
     _require_size,
@@ -54,6 +55,7 @@ MAX_GRAPH_N = 8
 
 
 def path(n: int) -> Graph:
+    _require_size(n)
     return canonical_graph(Graph.from_edges(n, ((i, i + 1) for i in range(n - 1))))
 
 
@@ -61,10 +63,12 @@ def star(t: int) -> Graph:
     """K_{1,t}: one center and t leaves."""
     if t < 1:
         raise GraphError("star needs at least one edge")
+    _require_size(t + 1)
     return canonical_graph(Graph.from_edges(t + 1, ((0, i) for i in range(1, t + 1))))
 
 
 def complete(n: int) -> Graph:
+    _require_size(n)
     edges = ((i, j) for i in range(n) for j in range(i + 1, n))
     return canonical_graph(Graph.from_edges(n, edges))
 
@@ -72,6 +76,7 @@ def complete(n: int) -> Graph:
 def complete_bipartite(p: int, q: int) -> Graph:
     if p < 1 or q < 1:
         raise GraphError("complete bipartite parts must be nonempty")
+    _require_size(p + q)
     edges = ((i, p + j) for i in range(p) for j in range(q))
     return canonical_graph(Graph.from_edges(p + q, edges))
 
@@ -79,6 +84,7 @@ def complete_bipartite(p: int, q: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least three vertices")
+    _require_size(n)
     return canonical_graph(Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n))))
 
 
@@ -287,8 +293,8 @@ def enumerate_trees(n: int):
     class, in increasing certificate order.  Each tree of a level sequence
     is labeled once, by ``canonical_form``, which also stores its shape and
     automorphism group, so its canonical graph is found without a search."""
-    if not 1 <= n <= MAX_TREE_N:
-        raise GraphError(f"tree enumeration supports 1..{MAX_TREE_N}, got {n}")
+    if not _is_int(n) or not 1 <= n <= MAX_TREE_N:
+        raise GraphError(f"tree enumeration supports 1..{MAX_TREE_N}, got {n!r}")
     for cert in sorted(canonical_form(t) for t in map(_tree, _level_sequences(n))):
         yield certificate_graph(cert)
 
@@ -297,11 +303,11 @@ def enumerate_graphs(n: int, m: int | None = None):
     """All graphs on n vertices (optionally with exactly m edges), one
     canonical graph per isomorphism class in increasing certificate order;
     n is capped at oracle scale, and m is an int in 0..n(n-1)/2."""
-    if not 1 <= n <= MAX_GRAPH_N:
-        raise GraphError(f"graph enumeration supports 1..{MAX_GRAPH_N}, got {n}")
+    if not _is_int(n) or not 1 <= n <= MAX_GRAPH_N:
+        raise GraphError(f"graph enumeration supports 1..{MAX_GRAPH_N}, got {n!r}")
     if m is not None:
         top = n * (n - 1) // 2
-        if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m <= top:
+        if not _is_int(m) or not 0 <= m <= top:
             raise GraphError(f"edge count must be an integer in 0..{top}, got {m!r}")
     for cert, _g, _gens in _census(n):
         if m is None or cert.m == m:

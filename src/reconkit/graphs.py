@@ -59,10 +59,15 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+def _is_int(x) -> bool:
+    """Is x an int?  A bool is not, although Python counts it as one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _require_size(n: int) -> None:
     """The one vertex-count gate, run before anything of size n is built."""
-    if not 1 <= n <= MAX_VERTICES:
-        raise GraphError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+    if not _is_int(n) or not 1 <= n <= MAX_VERTICES:
+        raise GraphError(f"vertex count must be in 1..{MAX_VERTICES}, got {n!r}")
 
 
 def _bits(mask: int):

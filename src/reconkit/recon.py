@@ -15,13 +15,13 @@ It depends on C and H alone, so C's scan computes it once for every
 graph with card C.
 
 A card fixes the degree of the edge it lost:
-sum deg^2(H) = sum deg^2(H - e) + 2 d(e) + 2.  So C occurs in G's da-edeck
-with one d, and the edges e of H with H - e = C all have degree d exactly
-when sum deg^2(H) = sum deg^2(G).  The da-blockers are the blockers with
-G's sum of squared degrees, those that C + f reaches for a non-edge f of
-degree d, and their multiplicities are unchanged.  One blocker pass per
-graph therefore holds one index over all blockers, keyed by card, and
-the da view is that index under the mask of the da-blockers.
+sum deg^2(H) = sum deg^2(H - e) + 2 d(e) + 2.  So C occurs in G's
+da-edeck with one d, and C's scan files each extension class H once,
+with the one degree its new edge has.  The da-blockers are the blockers
+whose new edge on C has C's d, the blockers with G's sum of squared
+degrees, and their multiplicities are unchanged.  One blocker pass per
+graph therefore holds one index over all blockers, keyed by card, and the
+da view is that index under the mask of the da-blockers.
 
 The minimum variants (ern, dern) find the smallest sub-multiset of the deck
 contained in no blocker's deck, each query an AND of per-card bitmasks over
@@ -93,39 +93,41 @@ class ReconResult:
 def extensions(card: Graph, d: int | None = None) -> Deck:
     """The classes of the graphs card+uv over non-adjacent pairs u,v: a Deck
     from each class's certificate to its number of pairs, in increasing
-    certificate order.  With d given, only pairs whose degrees sum to d, so
-    the new edge has degree d in the extension.
-
-    The pairs are read on card's canonical graph, one labeled per orbit of
-    its automorphism group (``graphs._pair_orbits``), weighted by the
-    orbit's size.  One scan per card class serves every d.
+    certificate order.  With d given, only the classes whose new edge has
+    degree d, which each class fixes (``_scan``).  The pairs are read on
+    card's canonical graph, one labeled per orbit of its automorphism
+    group (``graphs._pair_orbits``), weighted by the orbit's size.
     """
-    return _scan(canonical_form(card))[0].get(d, Deck({}))
+    deck, ds, _mults = _scan(canonical_form(card))
+    if d is None:
+        return deck
+    return Deck((h, f) for (h, f), e in zip(deck.items(), ds) if e == d)
 
 
 @lru_cache(maxsize=1 << 14)
 def _scan(cert: Certificate) -> tuple:
-    """The card class's one walk of its non-edge orbits: the extension
-    Decks by d (None for every pair), and in the None Deck's key order each
-    extension H's multiplicity m_H(C) on the card (module docstring).
-    ArithmeticError when a group order makes some m_H(C) fractional."""
+    """The card class's one walk of its non-edge orbits: the Deck of its
+    extension classes and, in its key order, each class H's new-edge
+    degree, deg u + deg v for every pair u,v reaching H since
+    sum deg^2(C + uv) = sum deg^2(C) + 2 (deg u + deg v) + 2, and H's
+    multiplicity m_H(C) on the card (module docstring).  ArithmeticError
+    when a group order makes some m_H(C) fractional."""
     c = certificate_graph(cert)
     degs = c.degrees()
     card_order, gens = _aut(cert)
     pairs = (p for p in combinations(range(c.n), 2) if not c.has_edge(*p))
-    counts, orders = {}, {}
+    counts, orders, d_of = {}, {}, {}
     for (u, v), size in _pair_orbits(gens, pairs):
         key = canonical_form(c.add_edge(u, v))
         if key not in orders:
             # read next to the labeling, which stores the group when it
             # searches, so an evicting group store rarely searches again
             orders[key] = _aut(key)[0]
-        for d in (None, degs[u] + degs[v]):
-            by_key = counts.setdefault(d, {})
-            by_key[key] = by_key.get(key, 0) + size
-    by_d = {d: Deck(by_key) for d, by_key in counts.items()}
+            d_of[key] = degs[u] + degs[v]
+        counts[key] = counts.get(key, 0) + size
+    deck = Deck(counts)
     mults = []
-    for h, f in by_d.get(None, Deck({})).items():
+    for h, f in deck.items():
         m, rest = divmod(f * orders[h], card_order)
         if rest:
             raise ArithmeticError(
@@ -133,7 +135,7 @@ def _scan(cert: Certificate) -> tuple:
                 f" = {card_order}: a group order is wrong"
             )
         mults.append(m)
-    return by_d, tuple(mults)
+    return deck, tuple(d_of[h] for h in deck), tuple(mults)
 
 
 def determines(card: Graph, d: int, origin: Graph) -> bool:
@@ -169,23 +171,19 @@ class _Pass(NamedTuple):
 
 @lru_cache(maxsize=2048)
 def _context(gcert: Certificate) -> _Pass:
-    """Builds the pass from the class's deck and its cards' scans: one
-    index with rows up to the deck's own multiplicity of each card, the
-    da view's mask of the blockers that a card reaches through a non-edge
-    of its d, and each view's largest overlap with a blocker's deck."""
+    """Builds the pass from the class's deck and its cards' scans.  The
+    blockers are the extensions of the cards other than g.  One walk of
+    the da-edeck's keys fills each card's index rows, up to the deck's own
+    multiplicity of the card, sets the da bit of a blocker whose new edge
+    has the card's d, and sums each blocker's overlap with the deck."""
     da_deck, deck, cards = _deck_of_cert(gcert)
-    scans, reached = [], set()
-    for key, card in zip(da_deck, cards):
-        reached.update(extensions(card, key.d))
-        scans.append(_scan(key.card))
-    hs = tuple(sorted(set().union(*(by_d[None] for by_d, _mults in scans)) - {gcert}))
+    hs = tuple(sorted(set().union(*map(extensions, cards)) - {gcert}))
     pos = {h: i for i, h in enumerate(hs)}
-    reached.discard(gcert)
-    index, shared = {}, [0] * len(hs)
-    for card, (by_d, mults) in zip(deck, scans):
-        x = deck.mult(card)
+    index, shared, da_mask = {}, [0] * len(hs), 0
+    for key in da_deck:
+        x = da_deck.mult(key)
         rows = [0] * x
-        for h, m in zip(by_d[None], mults):
+        for h, e, m in zip(*_scan(key.card)):
             i = pos.get(h)
             if i is None:  # g itself
                 continue
@@ -193,8 +191,10 @@ def _context(gcert: Certificate) -> _Pass:
             for j in range(top):
                 rows[j] |= bit
             shared[i] += top
-        index[card] = tuple(rows)
-    masks = ((1 << len(hs)) - 1, sum(1 << pos[h] for h in reached))
+            if e == key.d:
+                da_mask |= bit
+        index[key.card] = tuple(rows)
+    masks = ((1 << len(hs)) - 1, da_mask)
     best = [(0, -1), (0, -1)]
     for i, s in enumerate(shared):
         for da in (False, True):

@@ -10,10 +10,11 @@ and otherwise a ";"-joined list of "mult x d x graph6" entries using the
 '×' separator, which never occurs in graph6 text: each card has the
 record's n and m - 1 edges, and the multiplicities sum to dern.  A record
 counts only once its newline is written, so a line torn by a crash is
-corrupt, and so is a line whose graph6 does not decode to a graph with
-its n and m, or whose witness does not fit dern.  Scanning skips corrupt
-lines with a warning count and deduplicates by certificate, last write
-winning.
+corrupt, and so is a line that is not UTF-8 (torn inside the two bytes of
+'×', say), whose graph6 does not decode to a graph with its n and m, or
+whose witness does not fit dern.  Scanning decodes each line on its own,
+skips corrupt lines with a warning count and deduplicates by
+certificate, last write winning.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ def check_store_scheme(path: str) -> None:
     graph6, which another scheme writes differently, so resuming across a
     scheme change would miss every record and append duplicates."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            first = fh.readline()
+        with open(path, "rb") as fh:
+            first = fh.readline().decode("utf-8", "replace")
     except FileNotFoundError:
         return
     header = first.rstrip("\n")
@@ -219,8 +220,13 @@ def store_scan(path: str, filter_expr: str | None = None):
     by_cert: dict = {}
     stats = {"corrupt": 0, "duplicates": 0}
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh):
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError:  # not UTF-8: torn inside a character, say
+                    stats["corrupt"] += 1
+                    continue
                 if lineno == 0 and line.startswith(_HEADER_PREFIX):
                     continue
                 if not line.strip():

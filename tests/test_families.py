@@ -138,6 +138,13 @@ def test_graph_counts():
             list(enumerate_graphs(5, m))
     with pytest.raises(GraphError):
         list(enumerate_trees(17))
+    # so is a vertex count: True would yield K1, and 2.0 fail on a shift
+    for enumerate_family, n in (
+        (enumerate_graphs, True), (enumerate_graphs, 2.0),
+        (enumerate_trees, True), (enumerate_trees, 3.0),
+    ):
+        with pytest.raises(GraphError):
+            list(enumerate_family(n))
 
 
 def count_searches(monkeypatch) -> list:

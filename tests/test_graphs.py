@@ -77,6 +77,16 @@ def test_rejects_loops_and_asymmetry():
         lambda: P(3).induced([]),
         lambda: P(3).induced([1, 1]),
         lambda: P(3).induced([0, 3]),
+        # a vertex count is an int, and a bool is not one
+        lambda: Graph(True, [0]),
+        lambda: Graph(2.0, (0b10, 0b01)),
+        lambda: Graph.from_edges(3.0, []),
+        lambda: families.path(2.5),
+        lambda: families.path(True),
+        lambda: families.star(2.5),
+        lambda: families.complete(3.0),
+        lambda: cycle(4.0),
+        lambda: complete_bipartite(1.5, 1.5),
     ]:
         with pytest.raises(GraphError):
             build()

@@ -244,8 +244,8 @@ def blocker_multiplicities(g, da):
     deck, mask = ctx.decks[da], ctx.masks[da]
     on_card = {}
     for key in deck:
-        by_d, mults = recon._scan(key.card if da else key)
-        on_card[key] = dict(zip(by_d[None], mults))
+        ext, _ds, mults = recon._scan(key.card if da else key)
+        on_card[key] = dict(zip(ext, mults))
     found = {}
     for i, h in enumerate(ctx.hs):
         on_keys = {key: on[h] for key, on in on_card.items() if h in on}
@@ -311,6 +311,27 @@ def test_da_context_is_the_plain_context_at_equal_degree_squares():
         for h in same_sq:
             on_cards = [(key.card, m) for key, m in da_mults[h].items()]
             assert on_cards == list(mults[h].items())
+
+
+def test_scan_files_each_extension_class_with_its_new_edge_degree():
+    # sum deg^2(C + uv) = sum deg^2(C) + 2 (deg u + deg v) + 2, so the
+    # scan's degree of each class H of every card class C is the degree of
+    # the new edge, and the degree-restricted decks partition the scan's
+    for n in range(2, 10):
+        family = enumerate_graphs(n) if n <= 6 else enumerate_trees(n)
+        cards = {key for g in family if g.m >= 1 for key in edge_deck(g)}
+        for c in cards:
+            card = certificate_graph(c)
+            ext, ds, mults = recon._scan(c)
+            assert len(ds) == len(mults) == len(ext)
+            for h, d in zip(ext, ds):
+                h_sq = sum_sq_degrees(certificate_graph(h))
+                assert h_sq == sum_sq_degrees(card) + 2 * d + 2, (c, h)
+            by_d = Counter()
+            for d in set(ds):
+                by_d.update(dict(extensions(card, d).items()))
+            assert Deck(by_d) == extensions(card) == ext
+            assert not extensions(card, max(ds) + 1)
 
 
 def test_blocked_rejects_cards_outside_own_deck():

@@ -444,6 +444,34 @@ def test_sweep_resume_after_torn_last_line(tmp_path):
     assert strip(part_records) == strip(full_records)
 
 
+def test_sweep_resume_after_line_torn_inside_a_character(tmp_path):
+    # the witness separator '×' is two bytes in UTF-8, so a crash can cut a
+    # record between them; the line is corrupt, not an error, and the
+    # resumed sweep recomputes the record
+    full = tmp_path / "full.txt"
+    part = tmp_path / "part.txt"
+    sweep_trees(8, "dern-le-2", str(full))
+    interrupted_copy(full, part, 10)
+    torn = full.read_bytes().splitlines(keepends=True)[11]
+    cut = torn.index("×".encode("utf-8")) + 1
+    with open(part, "ab") as fh:
+        fh.write(torn[:cut])
+    torn_records, stats = store_scan(str(part))
+    assert len(torn_records) == 10 and stats["corrupt"] == 1
+    out = run_cli(["store", "scan", "--store", str(part)])
+    assert out.returncode == 0 and len(out.stdout.splitlines()) == 10
+    resumed = sweep_trees(8, "dern-le-2", str(part))
+    assert resumed.resumed == 10 and resumed.computed == 13
+    untimed = lambda recs: [replace(r, elapsed_ms=0) for r in recs]
+    full_records, _ = store_scan(str(full))
+    part_records, stats = store_scan(str(part))
+    assert untimed(part_records) == untimed(full_records)
+    assert stats == {"corrupt": 1, "duplicates": 0}
+    # the torn line now ends in a newline, inside the header's first read
+    again = sweep_trees(8, "dern-le-2", str(part))
+    assert again.resumed == 23 and again.computed == 0
+
+
 def test_sweep_deterministic():
     a = sweep_trees(7, "dern-le-2", None)
     b = sweep_trees(7, "dern-le-2", None)
