@@ -19,10 +19,11 @@ the caterpillar among all graphs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, _bits, _require_tree
+from .graphs import Graph, _bits, _require_int, _require_tree
 
 __all__ = [
     "CaterpillarSeq",
@@ -38,16 +39,17 @@ __all__ = [
 @dataclass(frozen=True)
 class CaterpillarSeq:
     """Integer sequence <a_1..a_n>, stored in its lexicographically least
-    orientation so that equality is equality up to reversal."""
+    orientation so that equality is equality up to reversal.  Each entry
+    is an int >= 0 (GraphError otherwise); ``parse`` reads them from text."""
 
     a: tuple
 
     def __init__(self, a):
-        a = tuple(int(x) for x in a)
+        a = tuple(a)
         if not a:
             raise ValueError("empty caterpillar sequence")
-        if any(x < 0 for x in a):
-            raise ValueError(f"negative entry in {a}")
+        for x in a:
+            _require_int(x, 0, math.inf, "caterpillar entry")
         if len(a) >= 2 and (a[0] < 1 or a[-1] < 1):
             raise ValueError(f"end entries must be >= 1 in {a}")
         object.__setattr__(self, "a", min(a, a[::-1]))

@@ -24,9 +24,9 @@ from .graphs import (
     Graph,
     GraphError,
     _bits,
-    _is_int,
     _least_leaf_code,
     _orbit,
+    _require_int,
     _require_size,
     canonical_form,
     canonical_graph,
@@ -61,9 +61,7 @@ def path(n: int) -> Graph:
 
 def star(t: int) -> Graph:
     """K_{1,t}: one center and t leaves."""
-    if t < 1:
-        raise GraphError("star needs at least one edge")
-    _require_size(t + 1)
+    _require_int(t, 1, MAX_VERTICES - 1, "star leaf count")
     return canonical_graph(Graph.from_edges(t + 1, ((0, i) for i in range(1, t + 1))))
 
 
@@ -74,17 +72,15 @@ def complete(n: int) -> Graph:
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
-    if p < 1 or q < 1:
-        raise GraphError("complete bipartite parts must be nonempty")
+    _require_int(p, 1, MAX_VERTICES - 1, "complete bipartite part p")
+    _require_int(q, 1, MAX_VERTICES - 1, "complete bipartite part q")
     _require_size(p + q)
     edges = ((i, p + j) for i in range(p) for j in range(q))
     return canonical_graph(Graph.from_edges(p + q, edges))
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise GraphError("cycle needs at least three vertices")
-    _require_size(n)
+    _require_int(n, 3, MAX_VERTICES, "cycle length")
     return canonical_graph(Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n))))
 
 
@@ -102,7 +98,7 @@ def graph_union(*graphs: Graph) -> Graph:
 
 def disjoint_union(k: int, h: Graph) -> Graph:
     """k disjoint copies of h."""
-    _require_size(k * h.n)
+    _require_int(k, 1, MAX_VERTICES, "copy count")
     return graph_union(*([h] * k))
 
 
@@ -127,8 +123,8 @@ def spider(lengths) -> Graph:
     legs = list(lengths)
     if len(legs) < 3:
         raise GraphError("a spider needs at least three legs (two would be a path)")
-    if any(l < 1 for l in legs):
-        raise GraphError("spider legs must have at least one edge")
+    for leg in legs:
+        _require_int(leg, 1, MAX_VERTICES - 1, "spider leg")
     total = 1 + sum(legs)
     _require_size(total)
     edges = []
@@ -293,8 +289,7 @@ def enumerate_trees(n: int):
     class, in increasing certificate order.  Each tree of a level sequence
     is labeled once, by ``canonical_form``, which also stores its shape and
     automorphism group, so its canonical graph is found without a search."""
-    if not _is_int(n) or not 1 <= n <= MAX_TREE_N:
-        raise GraphError(f"tree enumeration supports 1..{MAX_TREE_N}, got {n!r}")
+    _require_int(n, 1, MAX_TREE_N, "tree enumeration n")
     for cert in sorted(canonical_form(t) for t in map(_tree, _level_sequences(n))):
         yield certificate_graph(cert)
 
@@ -303,12 +298,9 @@ def enumerate_graphs(n: int, m: int | None = None):
     """All graphs on n vertices (optionally with exactly m edges), one
     canonical graph per isomorphism class in increasing certificate order;
     n is capped at oracle scale, and m is an int in 0..n(n-1)/2."""
-    if not _is_int(n) or not 1 <= n <= MAX_GRAPH_N:
-        raise GraphError(f"graph enumeration supports 1..{MAX_GRAPH_N}, got {n!r}")
+    _require_int(n, 1, MAX_GRAPH_N, "graph enumeration n")
     if m is not None:
-        top = n * (n - 1) // 2
-        if not _is_int(m) or not 0 <= m <= top:
-            raise GraphError(f"edge count must be an integer in 0..{top}, got {m!r}")
+        _require_int(m, 0, n * (n - 1) // 2, "edge count")
     for cert, _g, _gens in _census(n):
         if m is None or cert.m == m:
             yield certificate_graph(cert)
@@ -338,8 +330,7 @@ def _union(rest: str) -> Graph:
         if not mul:
             count, inner = "1", term
         (k,) = _ints(count, 1)
-        if not 1 <= k <= MAX_VERTICES:
-            raise GraphError(f"union count must be in 1..{MAX_VERTICES}, got {k}")
+        _require_int(k, 1, MAX_VERTICES, "union count")
         if inner.strip().partition(":")[0] == "U":
             raise GraphError("unions do not nest: write U:2*U:3*K:2 as U:6*K:2")
         blocks.extend([parse_family_spec(inner)] * k)

@@ -64,10 +64,17 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _require_int(x, least: int, most: int | float, what: str) -> None:
+    """The one gate for a count a caller passes, run before anything is
+    built from it: x must be an int, not a bool, in least..most (most may
+    be math.inf)."""
+    if not _is_int(x) or not least <= x <= most:
+        raise GraphError(f"{what} must be in {least}..{most}, got {x!r}")
+
+
 def _require_size(n: int) -> None:
-    """The one vertex-count gate, run before anything of size n is built."""
-    if not _is_int(n) or not 1 <= n <= MAX_VERTICES:
-        raise GraphError(f"vertex count must be in 1..{MAX_VERTICES}, got {n!r}")
+    """The gate for vertex counts."""
+    _require_int(n, 1, MAX_VERTICES, "vertex count")
 
 
 def _bits(mask: int):

@@ -36,18 +36,13 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .decks import (
-    DaEcard,
-    Deck,
-    _deck_of_cert,
-    _edged_cert,
-    da_edeck,
-)
+from .decks import DaEcard, Deck, _deck_of_cert, _edged_cert
 from .graphs import (
     Certificate,
     Graph,
     GraphError,
     _aut,
+    _component_masks,
     _pair_orbits,
     canonical_form,
     certificate_graph,
@@ -141,13 +136,14 @@ def _scan(cert: Certificate) -> tuple:
 def determines(card: Graph, d: int, origin: Graph) -> bool:
     """Does the single da-ecard (card, d) pin down origin uniquely?
 
-    The extensions are grouped by class and always include origin, so the
-    card determines origin exactly when it has one class of extension.
+    (card, d) is a da-ecard of origin exactly when origin's class is among
+    the card's extensions of degree d, so the card determines origin
+    exactly when it has one class of extension.
     """
-    key = DaEcard(canonical_form(card), d)
-    if key not in da_edeck(origin):
+    found = extensions(card, d)
+    if canonical_form(origin) not in found:
         raise GraphError("(card, d) is not a da-ecard of origin")
-    return len(extensions(card, d)) == 1
+    return len(found) == 1
 
 
 def blockers(g: Graph, da: bool) -> list:
@@ -282,13 +278,14 @@ def adv_recon_number(g: Graph, da: bool = False) -> ReconResult:
 
 def is_tree_from_two_cards(c1: Graph, c2: Graph) -> str:
     """"tree" when both cards split into exactly two tree components whose
-    order pairs differ; "unknown" otherwise."""
+    order pairs differ; "unknown" otherwise.  Two components are both
+    trees exactly when the card has n - 2 edges."""
     pairs = []
     for card in (c1, c2):
-        comps = components(card)
-        if len(comps) != 2 or any(c.m != c.n - 1 for c in comps):
+        masks = _component_masks(card)
+        if len(masks) != 2 or card.m != card.n - 2:
             return "unknown"
-        pairs.append(sorted(c.n for c in comps))
+        pairs.append(sorted(mask.bit_count() for mask in masks))
     return "tree" if pairs[0] != pairs[1] else "unknown"
 
 

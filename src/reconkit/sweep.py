@@ -26,9 +26,12 @@ from .families import (
     parse_family_spec,
 )
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     GraphError,
     _component_masks,
+    _is_int,
+    _require_int,
     _require_size,
     canonical_form,
     edge_degree,
@@ -240,8 +243,7 @@ def _run_sweep(scope: str, graphs, claim_name: str, store_path: str | None) -> S
 def _sweep_tree_scope(
     label: str, keep, n: int, claim: str, store_path, force: bool
 ) -> SweepReport:
-    if not 2 <= n <= MAX_TREE_N:
-        raise GraphError(f"{label} sweep needs 2 <= n <= {MAX_TREE_N}, got {n}")
+    _require_int(n, 2, MAX_TREE_N, f"{label} sweep n")
     if n > DEFAULT_TREE_CAP and not force:
         raise GraphError(f"{label} sweep capped at n={DEFAULT_TREE_CAP}; use force")
 
@@ -279,12 +281,8 @@ def sweep_disconnected(
     force: bool = False,
 ) -> SweepReport:
     """kH over all connected H with at most max_component vertices."""
-    if k < 2:
-        raise GraphError("disconnected sweep needs k >= 2 copies")
-    if not 2 <= max_component <= MAX_GRAPH_N:
-        raise GraphError(
-            f"disconnected sweep needs 2 <= n(H) <= {MAX_GRAPH_N}, got {max_component}"
-        )
+    _require_int(k, 2, MAX_VERTICES // 2, "disconnected sweep k")
+    _require_int(max_component, 2, MAX_GRAPH_N, "disconnected sweep n(H)")
     _require_size(k * max_component)
     if k * max_component > DEFAULT_UNION_CAP and not force:
         raise GraphError(
@@ -317,7 +315,7 @@ def identifying_cards(s: CaterpillarSeq, positions) -> tuple:
     g = caterpillar_graph(s)
     cards = []
     for pos in positions:
-        if pos not in valid:
+        if not _is_int(pos) or pos not in valid:
             raise ValueError(f"position {pos!r} of <{s}> is not one of {valid}")
         e = (pos - 1, len(a) + sum(a[: pos - 1]))
         cards.append(DaEcard(canonical_form(g.remove_edge(*e)), edge_degree(g, e)))

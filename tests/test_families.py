@@ -36,6 +36,13 @@ from reconkit import (
     write_graph6,
 )
 from reconkit import families, graphs
+from reconkit.caterpillar import CaterpillarSeq
+from reconkit.sweep import (
+    identifying_cards,
+    sweep_caterpillars,
+    sweep_disconnected,
+    sweep_trees,
+)
 from reconkit.graphs import MAX_VERTICES
 
 
@@ -145,6 +152,72 @@ def test_graph_counts():
     ):
         with pytest.raises(GraphError):
             list(enumerate_family(n))
+
+
+def test_bad_counts_rejected_by_the_gate(monkeypatch):
+    # a bool, a float, an out-of-range int and, for a caterpillar entry, a
+    # str: each is a GraphError naming the quantity, its bounds and the
+    # value, raised before any graph is built, and never a TypeError
+    k2 = path(2)
+
+    def refuse(*args):
+        raise AssertionError("built a graph from a bad count")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    monkeypatch.setattr(Graph, "_raw", staticmethod(refuse))
+    table = [
+        (lambda: star(True), "star leaf count must be in 1..31, got True"),
+        (lambda: star(2.0), "star leaf count must be in 1..31, got 2.0"),
+        (lambda: star(0), "star leaf count must be in 1..31, got 0"),
+        (lambda: complete_bipartite(True, 2), "part p must be in 1..31, got True"),
+        (lambda: complete_bipartite(2, 1.5), "part q must be in 1..31, got 1.5"),
+        (lambda: complete_bipartite(2, 0), "part q must be in 1..31, got 0"),
+        (lambda: cycle(True), "cycle length must be in 3..32, got True"),
+        (lambda: cycle(4.0), "cycle length must be in 3..32, got 4.0"),
+        (lambda: cycle(2), "cycle length must be in 3..32, got 2"),
+        (lambda: spider([True, 1, 1]), "spider leg must be in 1..31, got True"),
+        (lambda: spider([1.0, 1, 1]), "spider leg must be in 1..31, got 1.0"),
+        (lambda: spider([1, 1, 0]), "spider leg must be in 1..31, got 0"),
+        (lambda: disjoint_union(True, k2), "copy count must be in 1..32, got True"),
+        (lambda: disjoint_union(2.0, k2), "copy count must be in 1..32, got 2.0"),
+        (lambda: disjoint_union(0, k2), "copy count must be in 1..32, got 0"),
+        (lambda: parse_family_spec("U:0*K:2"), "union count must be in 1..32, got 0"),
+        (lambda: list(enumerate_trees(True)), "tree enumeration n must be in 1..16, got True"),
+        (lambda: list(enumerate_trees(3.0)), "tree enumeration n must be in 1..16, got 3.0"),
+        (lambda: list(enumerate_trees(17)), "tree enumeration n must be in 1..16, got 17"),
+        (lambda: list(enumerate_graphs(True)), "graph enumeration n must be in 1..8, got True"),
+        (lambda: list(enumerate_graphs(2.0)), "graph enumeration n must be in 1..8, got 2.0"),
+        (lambda: list(enumerate_graphs(9)), "graph enumeration n must be in 1..8, got 9"),
+        (lambda: list(enumerate_graphs(5, False)), "edge count must be in 0..10, got False"),
+        (lambda: list(enumerate_graphs(5, 2.0)), "edge count must be in 0..10, got 2.0"),
+        (lambda: list(enumerate_graphs(5, 11)), "edge count must be in 0..10, got 11"),
+        (lambda: CaterpillarSeq([True, 1]), "caterpillar entry must be in 0..inf, got True"),
+        (lambda: CaterpillarSeq([1.5, 2]), "caterpillar entry must be in 0..inf, got 1.5"),
+        (lambda: CaterpillarSeq([1, -1, 1]), "caterpillar entry must be in 0..inf, got -1"),
+        (lambda: CaterpillarSeq(["3", 1]), "caterpillar entry must be in 0..inf, got '3'"),
+        (lambda: caterpillar_graph([1.7, 2]), "caterpillar entry must be in 0..inf, got 1.7"),
+        (lambda: sweep_trees(True, "dern-le-2"), "tree sweep n must be in 2..16, got True"),
+        (lambda: sweep_trees(5.0, "dern-le-2"), "tree sweep n must be in 2..16, got 5.0"),
+        (lambda: sweep_caterpillars(17, "dern-le-2"), "sweep n must be in 2..16, got 17"),
+        (lambda: sweep_disconnected(True, 3, "conj-2.1"), "sweep k must be in 2..16, got True"),
+        (lambda: sweep_disconnected(2.0, 3, "conj-2.1"), "sweep k must be in 2..16, got 2.0"),
+        (lambda: sweep_disconnected(1, 3, "conj-2.1"), "sweep k must be in 2..16, got 1"),
+        (lambda: sweep_disconnected(2, True, "conj-2.1"), "n(H) must be in 2..8, got True"),
+        (lambda: sweep_disconnected(2, 3.0, "conj-2.1"), "n(H) must be in 2..8, got 3.0"),
+        (lambda: sweep_disconnected(2, 9, "conj-2.1"), "n(H) must be in 2..8, got 9"),
+    ]
+    for call, message in table:
+        with pytest.raises(GraphError) as exc:
+            call()
+        assert message in str(exc.value), message
+    monkeypatch.undo()
+    # a position is one of the reduction positions, so an int: otherwise
+    # the same ValueError as for an int that is not one of them
+    s = CaterpillarSeq((2, 0, 3))
+    assert len(identifying_cards(s, (1, 3))) == 2
+    for positions in ((1.0, 3), (True, 3), (2, 3)):
+        with pytest.raises(ValueError, match=r"is not one of \[1, 3\]"):
+            identifying_cards(s, positions)
 
 
 def count_searches(monkeypatch) -> list:

@@ -144,6 +144,19 @@ def test_determines_validates_input():
         determines(P(3), 5, complete(3))
 
 
+def test_determines_builds_no_deck(monkeypatch):
+    # (card, d) is a da-ecard of origin exactly when origin's class is among
+    # the card's extensions of degree d: origin's da-edeck is never built
+    built = []
+    build = decks._deck_of_cert
+    monkeypatch.setattr(decks, "_deck_of_cert", lambda *a: built.append(a) or build(*a))
+    assert determines(graph_union(star(4), star(3), K1), 3, disjoint_union(2, star(4)))
+    assert not determines(graph_union(star(3), P(3), K1), 2, disjoint_union(2, star(3)))
+    with pytest.raises(GraphError):
+        determines(P(3), 5, complete(3))
+    assert built == []
+
+
 def test_determines_fast_path_agrees_with_scan():
     # wherever the sufficient condition fires, the full extension scan
     # must agree
@@ -522,6 +535,23 @@ def test_tree_from_two_cards():
     assert is_tree_from_two_cards(leaf_card, spine_card) == "tree"
     # a card with a cycle component stays unknown
     assert is_tree_from_two_cards(graph_union(complete(3), K1), end) == "unknown"
+
+
+def test_tree_from_two_cards_labels_no_component(monkeypatch):
+    # the component orders are read from the component masks, so with cold
+    # caches no component is labeled
+    searched = []
+    search = graphs._least_leaf_code
+    monkeypatch.setattr(graphs, "_least_leaf_code", lambda g: searched.append(g) or search(g))
+    monkeypatch.setattr(graphs, "_groups", OrderedDict())
+    monkeypatch.setattr(graphs, "_shapes", OrderedDict())
+    canonical_form.cache_clear()
+    cat = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+    assert is_tree_from_two_cards(cat.remove_edge(0, 2), cat.remove_edge(0, 1)) == "tree"
+    assert is_tree_from_two_cards(cat.remove_edge(0, 2), cat.remove_edge(1, 4)) == "unknown"
+    triangle = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    assert is_tree_from_two_cards(triangle, cat.remove_edge(0, 1)) == "unknown"
+    assert searched == []
 
 
 def test_relabeled_graph_reuses_blocker_context():

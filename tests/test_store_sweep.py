@@ -546,12 +546,12 @@ def test_empty_sweep_scopes_rejected_before_store(tmp_path):
     store = tmp_path / "store.txt"
     store.write_text("not a store header\n")
     for run, bad, bound in (
-        (sweep_trees, 1, "2 <= n <= 16"),
-        (sweep_trees, 0, "2 <= n <= 16"),
-        (sweep_caterpillars, 1, "2 <= n <= 16"),
-        (lambda n, *rest: sweep_disconnected(2, n, *rest), 1, "2 <= n(H) <= 8"),
+        (sweep_trees, 1, "tree sweep n must be in 2..16"),
+        (sweep_trees, 0, "tree sweep n must be in 2..16"),
+        (sweep_caterpillars, 1, "caterpillar sweep n must be in 2..16"),
+        (lambda n, *rest: sweep_disconnected(2, n, *rest), 1, "disconnected sweep n(H) must be in 2..8"),
     ):
-        with pytest.raises(GraphError, match=f"needs {re.escape(bound)}, got {bad}"):
+        with pytest.raises(GraphError, match=f"{re.escape(bound)}, got {bad}"):
             run(bad, "dern-le-2", str(store))
 
 
@@ -563,7 +563,7 @@ def test_oversized_union_scopes_rejected_before_evaluation(monkeypatch):
         raise AssertionError("evaluated a graph of an oversized scope")
 
     monkeypatch.setattr(sweep_module, "evaluate_graph", counter)
-    with pytest.raises(GraphError, match=r"2 <= n\(H\) <= 8, got 9"):
+    with pytest.raises(GraphError, match=r"disconnected sweep n\(H\) must be in 2\.\.8, got 9"):
         sweep_disconnected(2, 9, "conj-2.1", None, force=True)
     with pytest.raises(GraphError, match=f"vertex count must be in 1..{MAX_VERTICES}, got 35"):
         sweep_disconnected(5, 7, "conj-2.1", None, force=True)
@@ -658,10 +658,10 @@ def test_cli_empty_sweep_scopes_exit_1():
     for scope in (["--trees", "1"], ["--trees", "0"], ["--caterpillars", "1"]):
         out = run_cli(["sweep", *scope, "--claim", "dern-le-2", "--no-store"])
         assert out.returncode == 1, scope
-        assert f"needs 2 <= n <= 16, got {scope[1]}" in out.stderr
+        assert f"sweep n must be in 2..16, got {scope[1]}" in out.stderr
         assert "records:" not in out.stdout
     out = run_cli(["sweep", "--disconnected", "2:1", "--claim", "conj-2.1", "--no-store"])
-    assert out.returncode == 1 and "needs 2 <= n(H) <= 8, got 1" in out.stderr
+    assert out.returncode == 1 and "disconnected sweep n(H) must be in 2..8, got 1" in out.stderr
 
 
 def test_cli_store_roundtrip(tmp_path):
