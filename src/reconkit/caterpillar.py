@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, _bits, _require_int, _require_tree
+from .graphs import Graph, _bits, _integer, _require_int, _require_tree
 
 __all__ = [
     "CaterpillarSeq",
@@ -57,7 +57,7 @@ class CaterpillarSeq:
     @classmethod
     def parse(cls, text: str) -> "CaterpillarSeq":
         try:
-            return cls(int(part) for part in text.split(","))
+            return cls(_integer(part) for part in text.split(","))
         except ValueError as exc:
             raise ValueError(f"bad caterpillar sequence {text!r}: {exc}") from None
 
@@ -137,9 +137,7 @@ def reconstruct(r1: CaterpillarSeq, r2: CaterpillarSeq) -> set:
     found = set()
     for base in {r1.a, r1.a[::-1]}:
         for i in range(n):
-            parent = _inc(base, i)
-            if not _dec_keeps_spine(parent, i):
-                continue  # only a lone spine vertex can fail here
+            parent = _inc(base, i)  # reduced at i, it keeps the spine if n >= 2
             for j in range(n):
                 if j == i or not _dec_keeps_spine(parent, j):
                     continue

@@ -17,7 +17,7 @@ import time
 from .caterpillar import CaterpillarSeq, identifying_pair, reconstruct, reductions
 from .decks import da_edeck, edge_deck, format_deck
 from .families import enumerate_graphs, enumerate_trees, resolve_graph_input
-from .graphs import canonical_form, write_graph6
+from .graphs import _integer, canonical_form, write_graph6
 from .recon import adv_recon_number, recon_number
 from .store import _num, default_store_path, format_record, format_witness, store_scan
 from .sweep import (
@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 def _k_maxh(text: str) -> tuple:
     k_text, _, maxh_text = text.partition(":")
     try:
-        return int(k_text), int(maxh_text)
+        return _integer(k_text), _integer(maxh_text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected K:MAXH (two integers), got {text!r}"
@@ -66,8 +66,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="evaluate a claim over a family")
     scope = p.add_mutually_exclusive_group(required=True)
-    scope.add_argument("--trees", type=int, metavar="N")
-    scope.add_argument("--caterpillars", type=int, metavar="N")
+    scope.add_argument("--trees", type=_integer, metavar="N")
+    scope.add_argument("--caterpillars", type=_integer, metavar="N")
     scope.add_argument(
         "--disconnected",
         type=_k_maxh,
@@ -94,8 +94,8 @@ def _build_parser() -> _Parser:
     f.add_argument("spec")
     f = fsub.add_parser("list", help="enumerate trees or graphs")
     f.add_argument("what", choices=["trees", "graphs"])
-    f.add_argument("n", type=int)
-    f.add_argument("--edges", type=int, default=None, help="graphs only")
+    f.add_argument("n", type=_integer)
+    f.add_argument("--edges", type=_integer, default=None, help="graphs only")
 
     p = sub.add_parser("store", help="inspect the result store")
     ssub = p.add_subparsers(dest="action", required=True)

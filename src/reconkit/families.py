@@ -24,6 +24,7 @@ from .graphs import (
     Graph,
     GraphError,
     _bits,
+    _integer,
     _least_leaf_code,
     _orbit,
     _require_int,
@@ -312,10 +313,7 @@ def enumerate_graphs(n: int, m: int | None = None):
 # ---------------------------------------------------------------------------
 
 def _ints(text: str, count: int | None = None) -> list:
-    try:
-        values = [int(p) for p in text.split(",")]
-    except ValueError:
-        raise GraphError(f"expected comma-separated integers, got {text!r}") from None
+    values = [_integer(p) for p in text.split(",")]
     if count is not None and len(values) != count:
         raise GraphError(f"expected {count} comma-separated integers, got {text!r}")
     return values

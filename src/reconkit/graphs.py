@@ -72,6 +72,15 @@ def _require_int(x, least: int, most: int | float, what: str) -> None:
         raise GraphError(f"{what} must be in {least}..{most}, got {x!r}")
 
 
+def _integer(text: str) -> int:
+    """The one reader of a number given as text: the int x whose ``str(x)``
+    is text.  ``int`` alone would also take a plus sign, spaces,
+    underscores, leading zeros and other scripts' digits."""
+    if text.isascii() and text.removeprefix("-").isdigit() and str(int(text)) == text:
+        return int(text)
+    raise GraphError(f"expected an integer, got {text!r}")
+
+
 def _require_size(n: int) -> None:
     """The gate for vertex counts."""
     _require_int(n, 1, MAX_VERTICES, "vertex count")
@@ -125,7 +134,7 @@ class Graph:
         _require_size(n)
         rows = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"loop at vertex {u}")

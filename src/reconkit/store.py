@@ -19,14 +19,13 @@ certificate, last write winning.
 
 from __future__ import annotations
 
-import math
 import operator
 import os
 import re
 from dataclasses import dataclass
 
 from .decks import _key_parts
-from .graphs import CERT_SCHEME, parse_graph6
+from .graphs import CERT_SCHEME, _integer, parse_graph6
 
 __all__ = [
     "ResultRecord",
@@ -46,7 +45,7 @@ _FIELDS = 9
 
 
 def default_store_path() -> str:
-    return os.environ.get(STORE_ENV, "reconkit-store.txt")
+    return os.environ.get(STORE_ENV) or "reconkit-store.txt"
 
 
 @dataclass(frozen=True)
@@ -71,11 +70,11 @@ def _num(value) -> str:
 
 
 def _decimal(text: str, least: int) -> int:
-    """An unsigned ASCII decimal of at least ``least``; ``int`` alone would
-    also take signs, spaces, underscores and other scripts' digits."""
-    if not (text.isascii() and text.isdigit()) or int(text) < least:
+    """An integer of at least ``least``, written as ``str`` writes it."""
+    value = _integer(text)
+    if value < least:
         raise ValueError(f"{text!r} is not a decimal of at least {least}")
-    return int(text)
+    return value
 
 
 def _parse_num(text: str):
@@ -177,16 +176,12 @@ _FILTER_OPS = {
 
 
 def _filter_value(text: str):
-    """A filter's value as a float, 'indet' as +infinity; None when text
-    is not a number, or is NaN, which no value compares equal to or
-    ordered with."""
-    if text == "indet":
-        return float("inf")
+    """A filter's value: an integer, or 'indet' as +infinity; None for any
+    other text."""
     try:
-        value = float(text)
+        return float("inf") if text == "indet" else _integer(text)
     except ValueError:
         return None
-    return None if math.isnan(value) else value
 
 
 def parse_filter(expr: str):
@@ -204,7 +199,7 @@ def parse_filter(expr: str):
 
     def predicate(rec):
         v = getattr(rec, field)
-        return compare(float("inf") if v is None else float(v), target)
+        return compare(float("inf") if v is None else v, target)
 
     return predicate
 

@@ -685,6 +685,17 @@ def test_cli_store_scan_rejects_a_missing_store(tmp_path):
     assert store_scan(str(missing)) == ([], {"corrupt": 0, "duplicates": 0})
 
 
+def test_cli_empty_store_variable_means_the_default_path(tmp_path, monkeypatch):
+    # as --store "" does: an empty RECONKIT_STORE is unset, not "no store"
+    from reconkit import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("RECONKIT_STORE", "")
+    assert cli.main(["sweep", "--trees", "5", "--claim", "dern-le-2"]) == 0
+    records, _ = store_scan(str(tmp_path / "reconkit-store.txt"))
+    assert len(records) == 3
+
+
 def test_union_count_out_of_range():
     for spec in ("U:-2*K:2+K:3", f"U:{10**19}*K:2", "U:0*K:2", f"U:{MAX_VERTICES + 1}*K:1"):
         with pytest.raises(GraphError, match="union count"):
