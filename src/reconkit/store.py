@@ -11,10 +11,10 @@ and otherwise a ";"-joined list of "mult x d x graph6" entries using the
 record's n and m - 1 edges, and the multiplicities sum to dern.  A record
 counts only once its newline is written, so a line torn by a crash is
 corrupt, and so is a line that is not UTF-8 (torn inside the two bytes of
-'×', say), whose graph6 does not decode to a graph with its n and m, or
-whose witness does not fit dern.  Scanning decodes each line on its own,
-skips corrupt lines with a warning count and deduplicates by
-certificate, last write winning.
+'×', say), whose graph6 is not as ``write_graph6`` writes its graph with
+its n and m, or whose witness does not fit dern.  Scanning decodes each
+line on its own, skips corrupt lines with a warning count and
+deduplicates by certificate, last write winning.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .decks import _key_parts
-from .graphs import CERT_SCHEME, _integer, parse_graph6
+from .graphs import CERT_SCHEME, Graph, _integer, parse_graph6, write_graph6
 
 __all__ = [
     "ResultRecord",
@@ -87,6 +87,15 @@ def format_record(rec: ResultRecord) -> str:
     return "\t".join(map(str, fields))
 
 
+def _graph6(text: str) -> Graph:
+    """The graph of text, which must be as ``write_graph6`` writes it: a
+    record keyed by padded or prefixed text misses its graph on resume."""
+    g = parse_graph6(text)
+    if write_graph6(g) != text:
+        raise ValueError(f"{text!r} is not graph6 text as the store writes it")
+    return g
+
+
 def _check_witness(text: str, n: int, m: int, dern) -> None:
     """ValueError unless text is "-" with dern indet, or entries of
     ``mult×d×g6`` (mult >= 1, d >= 0) whose cards have n vertices and m - 1
@@ -98,7 +107,7 @@ def _check_witness(text: str, n: int, m: int, dern) -> None:
     total = 0
     for entry in text.split(";"):
         mult, d, g6 = entry.split("×")
-        card = parse_graph6(g6)
+        card = _graph6(g6)
         if (card.n, card.m) != (n, m - 1):
             raise ValueError(f"card {g6!r} is not a card of a graph with n={n} m={m}")
         _decimal(d, 0)
@@ -108,15 +117,15 @@ def _check_witness(text: str, n: int, m: int, dern) -> None:
 
 
 def parse_record(line: str) -> ResultRecord:
-    """One record; a ValueError when a field is malformed, the graph6 text
-    does not decode to a graph with the record's n and m, or the witness
-    does not fit dern.  The four numbers are decimals of at least 1 or
-    "indet", and the elapsed milliseconds a decimal."""
+    """One record; a ValueError when a field is malformed, a graph6 text is
+    not as ``write_graph6`` writes a graph with the record's n and m, or the
+    witness does not fit dern.  The four numbers are decimals of at least 1
+    or "indet", and the elapsed milliseconds a decimal."""
     parts = line.rstrip("\n").split("\t")
     if len(parts) != _FIELDS:
         raise ValueError(f"expected {_FIELDS} fields, got {len(parts)}")
     g6, n, m, ern, dern, adv_ern, adv_dern, witness, ms = parts
-    g = parse_graph6(g6)
+    g = _graph6(g6)
     if (g.n, g.m) != (_decimal(n, 1), _decimal(m, 0)):
         raise ValueError(f"{g6!r} has n={g.n} m={g.m}, the record says n={n} m={m}")
     numbers = list(map(_parse_num, (ern, dern, adv_ern, adv_dern)))

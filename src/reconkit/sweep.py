@@ -64,8 +64,7 @@ __all__ = [
     "pair_certifies",
 ]
 
-DEFAULT_TREE_CAP = 10
-DEFAULT_UNION_CAP = 10
+SWEEP_CAP = 10
 
 
 def evaluate_graph(g: Graph) -> ResultRecord:
@@ -200,7 +199,14 @@ class SweepReport:
         return out
 
 
-def _run_sweep(scope: str, graphs, claim_name: str, store_path: str | None) -> SweepReport:
+def _run_sweep(
+    scope: str, graphs, n: int, claim_name: str, store_path: str | None, force: bool
+) -> SweepReport:
+    """The one sweep driver: n, the scope's largest vertex count, is gated
+    and capped before the claim is checked or the store read."""
+    _require_size(n)
+    if n > SWEEP_CAP and not force:
+        raise GraphError(f"sweep capped at {SWEEP_CAP} vertices, got {n}; use force")
     if claim_name not in CLAIMS:
         raise ValueError(f"unknown claim {claim_name!r}; have {sorted(CLAIMS)}")
     claim = CLAIMS[claim_name]
@@ -223,11 +229,8 @@ def _run_sweep(scope: str, graphs, claim_name: str, store_path: str | None) -> S
             if store_path:
                 store_append(store_path, rec)
         records.append(rec)
-        ok = claim.check(g, rec)
-        if claim.kind == "verify":
-            if not ok:
-                violations.append(rec)
-        elif ok:
+        # a verify claim lists the records that fail it, a census those that pass
+        if claim.check(g, rec) == (claim.kind == "census"):
             violations.append(rec)
     return SweepReport(
         scope=scope,
@@ -240,17 +243,6 @@ def _run_sweep(scope: str, graphs, claim_name: str, store_path: str | None) -> S
     )
 
 
-def _sweep_tree_scope(
-    label: str, keep, n: int, claim: str, store_path, force: bool
-) -> SweepReport:
-    _require_int(n, 2, MAX_TREE_N, f"{label} sweep n")
-    if n > DEFAULT_TREE_CAP and not force:
-        raise GraphError(f"{label} sweep capped at n={DEFAULT_TREE_CAP}; use force")
-
-    graphs = (t for t in enumerate_trees(n) if keep(t))
-    return _run_sweep(f"{label}s n={n}", graphs, claim, store_path)
-
-
 def sweep_trees(
     n: int,
     claim: str,
@@ -258,7 +250,8 @@ def sweep_trees(
     force: bool = False,
 ) -> SweepReport:
     """All trees on exactly n vertices."""
-    return _sweep_tree_scope("tree", lambda t: True, n, claim, store_path, force)
+    _require_int(n, 2, MAX_TREE_N, "tree sweep n")
+    return _run_sweep(f"trees n={n}", enumerate_trees(n), n, claim, store_path, force)
 
 
 def sweep_caterpillars(
@@ -268,9 +261,9 @@ def sweep_caterpillars(
     force: bool = False,
 ) -> SweepReport:
     """All caterpillars on exactly n vertices."""
-    return _sweep_tree_scope(
-        "caterpillar", lambda t: seq_of(t) is not None, n, claim, store_path, force
-    )
+    _require_int(n, 2, MAX_TREE_N, "caterpillar sweep n")
+    graphs = (t for t in enumerate_trees(n) if seq_of(t) is not None)
+    return _run_sweep(f"caterpillars n={n}", graphs, n, claim, store_path, force)
 
 
 def sweep_disconnected(
@@ -283,11 +276,6 @@ def sweep_disconnected(
     """kH over all connected H with at most max_component vertices."""
     _require_int(k, 2, MAX_VERTICES // 2, "disconnected sweep k")
     _require_int(max_component, 2, MAX_GRAPH_N, "disconnected sweep n(H)")
-    _require_size(k * max_component)
-    if k * max_component > DEFAULT_UNION_CAP and not force:
-        raise GraphError(
-            f"union sweep capped at {DEFAULT_UNION_CAP} vertices; use force"
-        )
 
     def graphs():
         for nh in range(2, max_component + 1):
@@ -296,7 +284,7 @@ def sweep_disconnected(
                     yield disjoint_union(k, h)
 
     scope = f"disconnected {k}H n(H)<={max_component}"
-    return _run_sweep(scope, graphs(), claim, store_path)
+    return _run_sweep(scope, graphs(), k * max_component, claim, store_path, force)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The behaviour baseline: one SHA-256 over every answer the blocker search
-gives on a fixed set of small graphs, and one over every tree on 10
-vertices, the trees the tree-sweep benchmark evaluates.
+gives on a fixed set of small graphs, one over every tree on 10 vertices,
+the trees the tree-sweep benchmark evaluates, and one over the records of
+the union sweep 2H with n(H) <= 5.
 
 The first digest was computed before blocker multiplicities came from
 double counting, with every blocker's deck built in full, the second
@@ -10,6 +11,7 @@ labeler or of the blocker search that changes any number, witness,
 """
 
 import hashlib
+from dataclasses import replace
 
 from reconkit import (
     DaEcard,
@@ -20,9 +22,12 @@ from reconkit import (
     enumerate_trees,
     recon_number,
 )
+from reconkit.store import format_record
+from reconkit.sweep import sweep_disconnected
 
 BASELINE_SHA256 = "86e4bdd98e736998cf94b16af8706f2a10442a718e6fadcf184c7c82b860bcf1"
 TREES_10_SHA256 = "34ee0b39bf65ed0bad6918ccc595edead5e54e7d0c0e063b65d316aec1c044e8"
+UNION_2_5_SHA256 = "a3ad6f7db81e7c27b38ab3a21f262fba0d85de060e1e060b9f0c60029b1075d6"
 
 
 def _key_text(key) -> str:
@@ -79,3 +84,13 @@ def test_trees_on_10_vertices_match_their_digest():
         count += 1
     assert count == 2 * 106
     assert digest.hexdigest() == TREES_10_SHA256
+
+
+def test_union_sweep_records_match_their_digest():
+    # every record of the scope, in sweep order, with elapsed_ms 0
+    report = sweep_disconnected(2, 5, "conj-2.1", None)
+    digest = hashlib.sha256()
+    for rec in report.records:
+        digest.update((format_record(replace(rec, elapsed_ms=0)) + "\n").encode())
+    assert len(report.records) == 30 and report.scope == "disconnected 2H n(H)<=5"
+    assert digest.hexdigest() == UNION_2_5_SHA256

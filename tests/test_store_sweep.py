@@ -160,6 +160,44 @@ def test_store_rejects_witnesses_that_do_not_fit(tmp_path):
     assert parse_record(line("indet", "-")).witness == "-"
 
 
+def test_store_reads_only_graph6_as_written(tmp_path):
+    # parse_graph6 strips spaces and a '>>graph6<<' prefix, but the record's
+    # text is its dedupe and resume key: only write_graph6's text reads
+    store = tmp_path / "s.txt"
+    rec = rec_for(path(5))
+    store_append(store, rec)
+    fields = format_record(rec).split("\t")
+    assert fields[0] == "DBg" and fields[7] == "1×1×D@S"
+    g6s = [" DBg", "DBg ", ">>graph6<<DBg", "DBg\r"]
+    witnesses = ["1×1× D@S", "1×1×D@S ", "1×1×>>graph6<<D@S"]
+    lines = ["\t".join([g6] + fields[1:]) for g6 in g6s]
+    lines += ["\t".join(fields[:7] + [w] + fields[8:]) for w in witnesses]
+    for bad in lines:
+        with pytest.raises(ValueError):
+            parse_record(bad)
+    with open(store, "a", encoding="utf-8") as fh:
+        fh.writelines(bad + "\n" for bad in lines)
+    records, stats = store_scan(store)
+    assert records == [rec]
+    assert stats == {"corrupt": len(lines), "duplicates": 0}
+    # exact graph6 of another labeling of P_5 still reads: whether a key is
+    # canonical is not checked here
+    assert parse_record("\t".join(["DDW"] + fields[1:])).g6 == "DDW"
+
+
+def test_sweep_recomputes_records_keyed_by_padded_graph6(tmp_path):
+    store = tmp_path / "s.txt"
+    sweep_trees(5, "dern-le-2", str(store))
+    header, *lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+    store.write_text(header + "".join(" " + line for line in lines), encoding="utf-8")
+    assert store_scan(store) == ([], {"corrupt": 3, "duplicates": 0})
+    report = sweep_trees(5, "dern-le-2", str(store))
+    assert report.computed == 3 and report.resumed == 0
+    records, stats = store_scan(store)
+    assert len(records) == 3 and set(records) == set(report.records)
+    assert stats == {"corrupt": 3, "duplicates": 0}
+
+
 def test_store_header_names_certificate_scheme(tmp_path):
     store = tmp_path / "s.txt"
     store_append(store, rec_for(path(4)))
@@ -570,6 +608,31 @@ def test_oversized_union_scopes_rejected_before_evaluation(monkeypatch):
     assert evaluated == []
 
 
+# (sweep, its arguments, its largest vertex count) past the one cap
+OVER_CAP = [
+    (sweep_trees, (11, "dern-le-2"), 11),
+    (sweep_caterpillars, (11, "dern-le-2"), 11),
+    (sweep_disconnected, (3, 4, "conj-4.1"), 12),
+]
+
+
+def test_every_sweep_scope_passes_one_cap(tmp_path, monkeypatch):
+    # refused before the store is read (its header is wrong, so reading it
+    # would raise another error) and before any graph is evaluated
+    store = tmp_path / "store.txt"
+    store.write_text("not a store header\n")
+    evaluated = []
+    evaluate = sweep_module.evaluate_graph
+    monkeypatch.setattr(sweep_module, "evaluate_graph", lambda g: evaluated.append(g) or evaluate(g))
+    for run, args, n in OVER_CAP:
+        with pytest.raises(GraphError) as refused:
+            run(*args, str(store))
+        assert str(refused.value) == f"sweep capped at 10 vertices, got {n}; use force"
+    assert evaluated == [] and store.read_text() == "not a store header\n"
+    counts = [len(run(*args, None, force=True).records) for run, args, _ in OVER_CAP]
+    assert counts == [235, 136, 9] and len(evaluated) == sum(counts)
+
+
 def test_claims_registry():
     assert set(CLAIMS) == {"dern-le-2", "ern-eq-3-census", "conj-2.1", "conj-4.1"}
 
@@ -654,6 +717,27 @@ def test_cli_sweep_disconnected_scope(tmp_path):
         assert "expected K:MAXH" in out.stderr
 
 
+def test_cli_sweep_scopes_pass_one_cap(tmp_path):
+    # as in test_every_sweep_scope_passes_one_cap: refused before the store,
+    # whose header is wrong, is read
+    store = tmp_path / "store.txt"
+    store.write_text("not a store header\n")
+    for scope, claim, n in (
+        (["--trees", "11"], "dern-le-2", 11),
+        (["--caterpillars", "11"], "dern-le-2", 11),
+        (["--disconnected", "3:4"], "conj-4.1", 12),
+    ):
+        out = run_cli(["sweep", *scope, "--claim", claim], env_store=store)
+        assert out.returncode == 1 and out.stdout == "", scope
+        assert out.stderr == f"error: sweep capped at 10 vertices, got {n}; use force\n"
+    assert store.read_text() == "not a store header\n"
+    out = run_cli(
+        ["sweep", "--disconnected", "3:4", "--force", "--claim", "conj-4.1", "--no-store"]
+    )
+    assert out.returncode == 0
+    assert "records: 9 (9 computed, 0 resumed)" in out.stdout and "violations: 0" in out.stdout
+
+
 def test_cli_empty_sweep_scopes_exit_1():
     for scope in (["--trees", "1"], ["--trees", "0"], ["--caterpillars", "1"]):
         out = run_cli(["sweep", *scope, "--claim", "dern-le-2", "--no-store"])
@@ -683,6 +767,19 @@ def test_cli_store_scan_rejects_a_missing_store(tmp_path):
     assert out.returncode == 1 and out.stdout == ""
     assert out.stderr.strip() == f"error: no store at {missing}"
     assert store_scan(str(missing)) == ([], {"corrupt": 0, "duplicates": 0})
+
+
+def test_cli_store_scan_warns_of_duplicates(tmp_path, capsys):
+    from reconkit import cli
+
+    store = tmp_path / "store.txt"
+    rec = rec_for(path(4))
+    store_append(store, rec)
+    store_append(store, rec)
+    assert cli.main(["store", "scan", "--store", str(store)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "warning: 1 duplicate certificates (last wins)\n"
+    assert out == format_record(rec) + "\n"
 
 
 def test_cli_empty_store_variable_means_the_default_path(tmp_path, monkeypatch):
