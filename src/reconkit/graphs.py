@@ -338,57 +338,75 @@ class Certificate(NamedTuple):
         return _graph6_text(self.n, self.code)
 
 
-def _refine(rows, order, end, queue) -> None:
-    """Refine an ordered partition, in place, until it is equitable.
+def _refine(rows, cells, end, queue, ncells: int) -> int:
+    """Refine an ordered partition, in place, until it is equitable, and
+    return its cell count, given the count before (``ncells``).
 
-    ``order`` lists the vertices cell by cell and ``end[s]`` is the end of
-    the cell starting at position s.  Each splitter cell taken from
-    ``queue`` (starts, first in first out) splits every cell by neighbour
-    count in the splitter; the parts keep their cell's place, ordered by
-    that count.  A split cell that is not queued already accounts for its
-    union, so its first largest part is not queued (Hopcroft).  Every step
-    reads positions and counts only, never vertex labels, so the result
+    ``cells[s]`` is the vertex mask of the cell starting at position s and
+    ``end[s]`` that cell's end.  Each splitter cell taken from ``queue``
+    (starts, first in first out) splits every cell by neighbour count in
+    the splitter; the parts keep their cell's place, ordered by that count.
+    A one-vertex splitter {w} splits a cell x into ``x & ~rows[w]`` and then
+    ``x & rows[w]``; a larger one groups x's vertices by count.  A split
+    cell that is not queued already accounts for its union, so its first
+    largest part is not queued (Hopcroft).  Refinement stops early at a
+    discrete partition.  Every step reads positions, counts and whole
+    cells only, never how vertex labels order a cell, so the result
     commutes with relabeling.
     """
-    n = len(order)
+    n = len(cells)
     queued = set(queue)
-    ncells = 0
-    c = 0
-    while c < n:
-        ncells += 1
-        c = end[c]
     for s in queue:  # the loop also visits starts appended below
         if ncells == n:
-            return
+            break
         queued.discard(s)
-        mask = 0
-        for v in order[s:end[s]]:
-            mask |= 1 << v
+        splitter = cells[s]
         c = 0
+        if splitter & (splitter - 1) == 0:
+            row = rows[splitter.bit_length() - 1]
+            while c < n:
+                e = end[c]
+                x = cells[c]
+                hit = x & row
+                if hit and hit != x:
+                    miss = x ^ hit
+                    p = c + miss.bit_count()
+                    cells[c], cells[p] = miss, hit
+                    end[c], end[p] = p, e
+                    ncells += 1
+                    new = p if c in queued or p - c >= e - p else c
+                    queue.append(new)
+                    queued.add(new)
+                c = e
+            continue
         while c < n:
             e = end[c]
             if e - c > 1:
                 parts: dict = {}
-                for v in order[c:e]:
-                    parts.setdefault((rows[v] & mask).bit_count(), []).append(v)
+                x = cells[c]
+                while x:
+                    low = x & -x
+                    count = (rows[low.bit_length() - 1] & splitter).bit_count()
+                    parts[count] = parts.get(count, 0) | low
+                    x ^= low
                 if len(parts) > 1:
-                    split = [parts[count] for count in sorted(parts)]
                     starts = []
+                    sizes = []
                     p = c
-                    for part in split:
+                    for count in sorted(parts):
+                        part = parts[count]
+                        size = part.bit_count()
                         starts.append(p)
-                        for v in part:
-                            order[p] = v
-                            p += 1
-                        end[starts[-1]] = p
-                    ncells += len(split) - 1
-                    if c in queued:
-                        del starts[0]
-                    else:
-                        del starts[split.index(max(split, key=len))]
+                        sizes.append(size)
+                        cells[p] = part
+                        end[p] = p + size
+                        p += size
+                    ncells += len(starts) - 1
+                    del starts[0 if c in queued else sizes.index(max(sizes))]
                     queue.extend(starts)
                     queued.update(starts)
             c = e
+    return ncells
 
 
 def _leaf_code(rows, order) -> int:
@@ -415,40 +433,42 @@ def _least_leaf_code(g: Graph) -> tuple:
     order, the first path, and the leaf automorphisms followed by the
     transpositions of the skipped twin pairs.
 
-    The root is the equitable refinement of the unit partition.  A node's
-    children individualize each vertex v of its first non-singleton cell:
-    {v} goes before the rest of the cell and refinement runs with {v} as
-    the only splitter.  A leaf is a discrete partition, read as a vertex
-    order; the first path is the individualized vertices of the first leaf.
-    A child is skipped when it is a twin of an explored sibling (equal open
-    or closed neighbourhood, so the pair's transposition is an
-    automorphism), or in an explored sibling's orbit under the leaf
-    automorphisms found so far that fix the node's individualized
-    vertices.  A leaf whose code equals the best's or the first leaf's
-    gives an automorphism, and the search then returns to where that
-    leaf's path left the other's, since the subtree it is in maps onto one
-    already explored.  Skipped subtrees are images of explored ones, so the
-    least code over all leaves is found, and the leaf automorphisms with
-    the twin transpositions generate Aut(g) with the first path as a base
-    (McKay & Piperno 2014): see ``_remember``.
+    The root is the equitable refinement of the unit partition (see
+    ``_refine``).  A node's children individualize each vertex v of its
+    first non-singleton cell, in ascending order: {v} goes before the rest
+    of the cell and refinement runs with {v} as the only splitter.  Cells
+    before v's stay singletons, so the child's scan for its own first
+    non-singleton cell starts at v's position.  A leaf is a discrete
+    partition, read as a vertex order; the first path is the individualized
+    vertices of the first leaf.  A child is skipped when it is a twin of an
+    explored sibling (equal open or closed neighbourhood, so the pair's
+    transposition is an automorphism), or in an explored sibling's orbit
+    under the leaf automorphisms found so far that fix the node's
+    individualized vertices.  A leaf whose code equals the best's or the
+    first leaf's gives an automorphism, and the search then returns to
+    where that leaf's path left the other's, since the subtree it is in
+    maps onto one already explored.  Skipped subtrees are images of
+    explored ones, so the least code over all leaves is found, and the leaf
+    automorphisms with the twin transpositions generate Aut(g) with the
+    first path as a base (McKay & Piperno 2014): see ``_remember``.
     """
     n, rows = g.n, g.rows
-    order = list(range(n))
+    cells = [0] * n
+    cells[0] = (1 << n) - 1
     end = [n] * n
-    _refine(rows, order, end, [0])
+    ncells = _refine(rows, cells, end, [0], 1)
     best_code = best_order = best_path = None
     first_code = first_order = first_path = None
     autos = []
     twins = []
 
-    def dfs(order, end, path) -> int:
-        # Returns the depth the search unwinds to.
+    def dfs(cells, end, ncells, c, path) -> int:
+        # Returns the depth the search unwinds to; c is a cell start with
+        # only singletons before it.
         nonlocal best_code, best_order, best_path, first_code, first_order, first_path
         depth = len(path)
-        c = 0
-        while c < n and end[c] - c == 1:
-            c += 1
-        if c == n:
+        if ncells == n:
+            order = [cell.bit_length() - 1 for cell in cells]
             code = _leaf_code(rows, order)
             if best_code is None:
                 first_code, first_order, first_path = code, order, path
@@ -466,9 +486,11 @@ def _least_leaf_code(g: Graph) -> tuple:
                 auto[v] = w
             autos.append(auto)
             return next(i for i, (v, w) in enumerate(zip(path, other_path)) if v != w)
-        e = end[c]
+        while end[c] - c == 1:
+            c += 1
+        cell, e = cells[c], end[c]
         tried = []
-        for v in sorted(order[c:e]):
+        for v in _bits(cell):
             row = rows[v]
             twin = False
             for u in tried:
@@ -479,17 +501,16 @@ def _least_leaf_code(g: Graph) -> tuple:
             if twin or (tried and v in _orbit(autos, path, tried)):
                 continue
             tried.append(v)
-            o, en = order[:], end[:]
-            i = o.index(v, c)
-            o[i], o[c] = o[c], v
-            en[c], en[c + 1] = c + 1, e
-            _refine(rows, o, en, [c])
-            back = dfs(o, en, path + [v])
+            child, child_end = cells[:], end[:]
+            child[c], child[c + 1] = 1 << v, cell ^ 1 << v
+            child_end[c], child_end[c + 1] = c + 1, e
+            count = _refine(rows, child, child_end, [c], ncells + 1)
+            back = dfs(child, child_end, count, c, path + [v])
             if back < depth:
                 return back
         return depth
 
-    dfs(order, end, [])
+    dfs(cells, end, ncells, 0, [])
     autos += ([u + v - w if w in (u, v) else w for w in range(n)] for u, v in twins)
     return best_code, best_order, first_path, autos
 
@@ -544,18 +565,22 @@ def _remember(cert: Certificate, search: tuple) -> tuple:
     permutations of its own vertices (bytes: n <= 32).  The generators
     fixing the first k path vertices generate their pointwise stabilizer,
     so |Aut| is the product over the path of each vertex's orbit under
-    those fixing the vertices before it (McKay & Piperno 2014).  The
-    canonical graph's vertex i is the searched graph's order[i]."""
+    those fixing the vertices before it (McKay & Piperno 2014), read along
+    one stabilizer chain: after each path vertex's orbit, the generators
+    that move it drop out.  The canonical graph's vertex i is the searched
+    graph's order[i]."""
     if cert in _groups:
         _groups.move_to_end(cert)
         return _groups[cert]
     _code, order, path, gens = search
     gens = list(dict.fromkeys(map(bytes, gens)))
     size = 1
-    for j, v in enumerate(path):
-        size *= len(_orbit(gens, path[:j], [v]))
+    fixing = gens  # the generators fixing the path vertices before v
+    for v in path:
+        size *= len(_orbit(fixing, (), [v]))
+        fixing = [gen for gen in fixing if gen[v] == v]
     pos = sorted(range(cert.n), key=order.__getitem__)  # pos[order[i]] = i
-    group = size, tuple(bytes(pos[gen[v]] for v in order) for gen in gens)
+    group = size, tuple(bytes([pos[gen[v]] for v in order]) for gen in gens)
     if len(_groups) >= _GROUPS_CAP:
         _groups.popitem(last=False)
     _groups[cert] = group

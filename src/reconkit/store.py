@@ -14,7 +14,11 @@ corrupt, and so is a line that is not UTF-8 (torn inside the two bytes of
 '×', say), whose graph6 is not as ``write_graph6`` writes its graph with
 its n and m, or whose witness does not fit dern.  Scanning decodes each
 line on its own, skips corrupt lines with a warning count and
-deduplicates by certificate, last write winning.
+deduplicates by graph6 text, last write winning.  The sweeps write only
+canonical graph6, one text per certificate, but a record keyed by exact
+graph6 of another labeling (``DDW`` for P_5, canonical ``DBg``) is neither
+corrupt nor a duplicate of the canonical record: flagging such keys is
+left to a store verifier (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -214,14 +218,17 @@ def parse_filter(expr: str):
 
 
 def store_scan(path: str, filter_expr: str | None = None):
-    """Records from the store, deduplicated by graph (last write wins).
+    """Records from the store, deduplicated by graph6 text (last write
+    wins).
 
     Returns (records, stats) where stats counts corrupt lines skipped and
-    duplicate certificates flagged.  The header line is neither; stores
-    without one are read the same way.
+    repeated graph6 keys flagged as duplicates.  Two records of one graph
+    under different labelings are both kept and not flagged (see the
+    module docstring).  The header line is neither; stores without one are
+    read the same way.
     """
     predicate = parse_filter(filter_expr) if filter_expr else None
-    by_cert: dict = {}
+    by_g6: dict = {}
     stats = {"corrupt": 0, "duplicates": 0}
     if os.path.exists(path):
         with open(path, "rb") as fh:
@@ -243,9 +250,9 @@ def store_scan(path: str, filter_expr: str | None = None):
                 except (ValueError, IndexError):
                     stats["corrupt"] += 1
                     continue
-                if rec.g6 in by_cert:
+                if rec.g6 in by_g6:
                     stats["duplicates"] += 1
-                by_cert[rec.g6] = rec
-    records = [r for r in by_cert.values() if predicate is None or predicate(r)]
+                by_g6[rec.g6] = rec
+    records = [r for r in by_g6.values() if predicate is None or predicate(r)]
     records.sort(key=lambda r: (r.n, r.m, r.g6))
     return records, stats

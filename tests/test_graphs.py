@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import OrderedDict
@@ -27,6 +28,7 @@ from reconkit import (
     edge_degree,
     enumerate_graphs,
     enumerate_trees,
+    graph_union,
     is_isomorphic,
     parse_family_spec,
     parse_graph6,
@@ -196,6 +198,64 @@ def relabeled(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     return g.permuted(perm)
+
+
+# SHA-256 of the search's results on the corpus below, made by the labeler
+# that CERT_SCHEME "ir1" names
+SEARCH_DIGEST = "0e756cf132413ebcf039ba6727594a8d180353b54a2900480cdc54eb49a30e85"
+
+# the symmetric-unions benchmark ladder, in its order
+LADDER = [
+    "U:2*S:3", "U:3*S:3", "U:4*S:2", "U:5*K:2", "U:3*C:4",
+    "U:2*Kpq:2,3", "C:12", "C:13", "U:2*C:6",
+]
+
+
+def search_corpus() -> list:
+    """220 graphs under one seeded relabeling: every graph on 1 to 6
+    vertices, the ladder, C_32, the 5-cube and 8K_{1,3}."""
+    rng = random.Random(5)
+    corpus = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    corpus += [parse_family_spec(spec) for spec in LADDER]
+    corpus.append(Graph.from_edges(32, [(i, (i + 1) % 32) for i in range(32)]))
+    corpus.append(Graph.from_edges(
+        32, [(v, v ^ 1 << i) for v in range(32) for i in range(5) if v < v ^ 1 << i]
+    ))
+    corpus.append(graph_union(*[Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])] * 8))
+    assert len(corpus) == 220
+    return [relabeled(g, rng) for g in corpus]
+
+
+def test_search_output_is_pinned():
+    # the search's full result, not only its code: the best order, the
+    # first path and every generator in order, which the census and the
+    # group store read
+    out = []
+    for g in search_corpus():
+        code, order, path, autos = graphs._least_leaf_code(g)
+        out.append((code, list(order), list(path), [list(a) for a in autos]))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == SEARCH_DIGEST
+
+
+def test_search_work_is_pinned(monkeypatch):
+    # a search that explores more of its tree fails a count, not a timing
+    corpus = search_corpus()
+    counts = {"_refine": 0, "_leaf_code": 0}
+
+    def counting(name):
+        step = getattr(graphs, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return step(*args)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(graphs, name, counting(name))
+    for g in corpus:
+        graphs._least_leaf_code(g)
+    assert counts == {"_refine": 1076, "_leaf_code": 352}
 
 
 def test_automorphism_group_matches_permutation_oracle_n7():
