@@ -8,8 +8,8 @@ blocks in order), which the sequence and deck machinery rely on.
 Both enumerators yield one canonical graph per isomorphism class in
 increasing certificate order.  Graphs come from canonical augmentation,
 which labels only the candidate children whose new vertex has least
-degree and the greatest vertex invariant, read from the parent before the
-child is built; trees come from level sequences, which make each tree
+degree and the greatest vertex invariant, read from the child's rows
+before it is labeled; trees come from level sequences, which make each tree
 exactly once, so each tree is labeled once.
 """
 
@@ -158,10 +158,10 @@ def _census(n: int) -> tuple:
     degree with the greatest invariant; both choices are invariant under
     isomorphism, so the rule picks one vertex orbit.  A child is kept when
     the new vertex is in that orbit, so each class is made exactly once:
-    from the class of the child minus that vertex.  Degrees and invariants
-    come from the parent's rows, so a child whose new vertex lacks the
-    least degree or the greatest invariant is dropped before it is built
-    or labeled.
+    from the class of the child minus that vertex.  A candidate child's
+    rows are built once, from the parent's, and degrees and invariants are
+    read through them, so a child whose new vertex lacks the least degree
+    or the greatest invariant is dropped before it is labeled.
     """
     if n == 1:
         return ((Certificate(1, 0, 0), Graph.from_edges(1, []), ()),)
@@ -192,20 +192,22 @@ def _census(n: int) -> tuple:
                 continue
             seen |= _orbit(images, (), [nb])
             low = nb.bit_count()
-            # the child's degrees, and the invariants of its least-degree vertices
-            cdegs = [d + (nb >> v & 1) for v, d in enumerate(degs)]
-            cdegs.append(low)
+            # the child's rows and degrees, and the invariants of its
+            # least-degree vertices
+            crows = [row | (nb >> v & 1) << new for v, row in enumerate(rows)]
+            crows.append(nb)
+            cdegs = [row.bit_count() for row in crows]
             top = sorted(cdegs[u] for u in _bits(nb))
             ties = [new]
             for v, d in enumerate(cdegs[:new]):
                 if d == low:
-                    inv = sorted(cdegs[u] for u in _bits(rows[v] | (nb >> v & 1) << new))
+                    inv = sorted(cdegs[u] for u in _bits(crows[v]))
                     if inv > top:
                         break  # a least-degree vertex beats the new one
                     if inv == top:
                         ties.append(v)
             else:  # none does: label the child
-                child = parent.add_vertex(_bits(nb))
+                child = Graph._raw(n, tuple(crows))
                 code, order, _path, gens = _least_leaf_code(child)
                 canon = next(v for v in reversed(order) if v in ties)
                 if canon == new or new in _orbit(gens, (), [canon]):

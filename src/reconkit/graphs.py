@@ -192,8 +192,8 @@ class Graph:
         _require_size(n + 1)
         nb = 0
         for u in neighbors:
-            if not 0 <= u < n:
-                raise GraphError(f"neighbor {u} out of range")
+            if not (_is_int(u) and 0 <= u < n):
+                raise GraphError(f"neighbor {u!r} out of range")
             nb |= 1 << u
         rows = [self.rows[v] | ((nb >> v & 1) << n) for v in range(n)]
         rows.append(nb)
@@ -202,7 +202,7 @@ class Graph:
     def permuted(self, perm) -> "Graph":
         """Relabel vertex ``v`` as ``perm[v]``."""
         n = self.n
-        if sorted(perm) != list(range(n)):
+        if not all(map(_is_int, perm)) or sorted(perm) != list(range(n)):
             raise GraphError("perm is not a permutation of the vertices")
         rows = [0] * n
         for v in range(n):
@@ -214,7 +214,10 @@ class Graph:
 
     def induced(self, vertices) -> "Graph":
         """Induced subgraph on ``vertices`` relabeled 0..k-1 in sorted order."""
-        vs = sorted(vertices)
+        vs = list(vertices)
+        if not all(map(_is_int, vs)):
+            raise GraphError(f"vertex ids must be ints, got {vs!r}")
+        vs.sort()
         if len(set(vs)) != len(vs) or not vs:
             raise GraphError("vertex set must be nonempty without repeats")
         if vs[0] < 0 or vs[-1] >= self.n:
@@ -338,87 +341,98 @@ class Certificate(NamedTuple):
         return _graph6_text(self.n, self.code)
 
 
-def _refine(rows, cells, end, queue, ncells: int) -> int:
+def _refine(rows, cells, end, queue, starts: int) -> int:
     """Refine an ordered partition, in place, until it is equitable, and
-    return its cell count, given the count before (``ncells``).
+    return the mask of its non-singleton cells' starts, given the mask
+    before (``starts``); the partition is discrete when the mask is 0.
 
     ``cells[s]`` is the vertex mask of the cell starting at position s and
     ``end[s]`` that cell's end.  Each splitter cell taken from ``queue``
     (starts, first in first out) splits every cell by neighbour count in
     the splitter; the parts keep their cell's place, ordered by that count.
-    A one-vertex splitter {w} splits a cell x into ``x & ~rows[w]`` and then
-    ``x & rows[w]``; a larger one groups x's vertices by count.  A split
-    cell that is not queued already accounts for its union, so its first
-    largest part is not queued (Hopcroft).  Refinement stops early at a
-    discrete partition.  Every step reads positions, counts and whole
-    cells only, never how vertex labels order a cell, so the result
-    commutes with relabeling.
+    Only non-singleton cells can split, so only the starts in the mask are
+    visited.  A one-vertex splitter {w} splits a cell x into
+    ``x & ~rows[w]`` and then ``x & rows[w]``; a larger one groups x's
+    vertices by count.  A split cell that is not queued already accounts
+    for its union, so its first largest part is not queued (Hopcroft).
+    Refinement stops early at a discrete partition.  Every step reads
+    positions, counts and whole cells only, never how vertex labels order
+    a cell, so the result commutes with relabeling.
     """
-    n = len(cells)
     queued = set(queue)
     for s in queue:  # the loop also visits starts appended below
-        if ncells == n:
+        if not starts:
             break
         queued.discard(s)
         splitter = cells[s]
-        c = 0
+        todo = starts  # the cells this splitter can split, ascending
         if splitter & (splitter - 1) == 0:
             row = rows[splitter.bit_length() - 1]
-            while c < n:
-                e = end[c]
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                c = low.bit_length() - 1
                 x = cells[c]
                 hit = x & row
                 if hit and hit != x:
+                    e = end[c]
                     miss = x ^ hit
                     p = c + miss.bit_count()
                     cells[c], cells[p] = miss, hit
                     end[c], end[p] = p, e
-                    ncells += 1
+                    if p - c == 1:
+                        starts ^= low
+                    if e - p > 1:
+                        starts |= 1 << p
                     new = p if c in queued or p - c >= e - p else c
                     queue.append(new)
                     queued.add(new)
-                c = e
             continue
-        while c < n:
-            e = end[c]
-            if e - c > 1:
-                parts: dict = {}
-                x = cells[c]
-                while x:
-                    low = x & -x
-                    count = (rows[low.bit_length() - 1] & splitter).bit_count()
-                    parts[count] = parts.get(count, 0) | low
-                    x ^= low
-                if len(parts) > 1:
-                    starts = []
-                    sizes = []
-                    p = c
-                    for count in sorted(parts):
-                        part = parts[count]
-                        size = part.bit_count()
-                        starts.append(p)
-                        sizes.append(size)
-                        cells[p] = part
-                        end[p] = p + size
-                        p += size
-                    ncells += len(starts) - 1
-                    del starts[0 if c in queued else sizes.index(max(sizes))]
-                    queue.extend(starts)
-                    queued.update(starts)
-            c = e
-    return ncells
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            c = low.bit_length() - 1
+            parts: dict = {}
+            x = cells[c]
+            while x:
+                bit = x & -x
+                count = (rows[bit.bit_length() - 1] & splitter).bit_count()
+                parts[count] = parts.get(count, 0) | bit
+                x ^= bit
+            if len(parts) > 1:
+                starts ^= low
+                at = []
+                sizes = []
+                p = c
+                for count in sorted(parts):
+                    part = parts[count]
+                    size = part.bit_count()
+                    at.append(p)
+                    sizes.append(size)
+                    cells[p] = part
+                    end[p] = p + size
+                    if size > 1:
+                        starts |= 1 << p
+                    p += size
+                del at[0 if c in queued else sizes.index(max(sizes))]
+                queue.extend(at)
+                queued.update(at)
+    return starts
 
 
 def _leaf_code(rows, order) -> int:
     """Upper triangle of the graph read in vertex order ``order``, packed
-    column by column (graph6 order), first bit most significant."""
+    column by column (graph6 order), first bit most significant: column j
+    holds the neighbours of ``order[j]`` at earlier positions."""
     n = len(order)
     rev = [0] * n  # bit n-1-i marks the vertex at position i
     for i, v in enumerate(order):
         rev[v] = 1 << (n - 1 - i)
     code = 0
+    seen = 0  # the vertices at positions before j
     for j in range(1, n):
-        row = rows[order[j]]
+        seen |= 1 << order[j - 1]
+        row = rows[order[j]] & seen
         relabeled = 0
         while row:
             low = row & -row
@@ -434,40 +448,41 @@ def _least_leaf_code(g: Graph) -> tuple:
     transpositions of the skipped twin pairs.
 
     The root is the equitable refinement of the unit partition (see
-    ``_refine``).  A node's children individualize each vertex v of its
-    first non-singleton cell, in ascending order: {v} goes before the rest
-    of the cell and refinement runs with {v} as the only splitter.  Cells
-    before v's stay singletons, so the child's scan for its own first
-    non-singleton cell starts at v's position.  A leaf is a discrete
-    partition, read as a vertex order; the first path is the individualized
+    ``_refine``), which also keeps the mask of the starts of the
+    non-singleton cells.  A node's children individualize each vertex v of
+    its first non-singleton cell, the mask's lowest bit, in ascending
+    order: {v} goes before the rest of the cell and refinement runs with
+    {v} as the only splitter.  A leaf is a discrete partition, an empty
+    mask, read as a vertex order; the first path is the individualized
     vertices of the first leaf.  A child is skipped when it is a twin of an
     explored sibling (equal open or closed neighbourhood, so the pair's
     transposition is an automorphism), or in an explored sibling's orbit
     under the leaf automorphisms found so far that fix the node's
-    individualized vertices.  A leaf whose code equals the best's or the
-    first leaf's gives an automorphism, and the search then returns to
-    where that leaf's path left the other's, since the subtree it is in
-    maps onto one already explored.  Skipped subtrees are images of
-    explored ones, so the least code over all leaves is found, and the leaf
-    automorphisms with the twin transpositions generate Aut(g) with the
-    first path as a base (McKay & Piperno 2014): see ``_remember``.
+    individualized vertices; that orbit is recomputed only when a sibling
+    was explored or an automorphism found since it was last computed.  A
+    leaf whose code equals the best's or the first leaf's gives an
+    automorphism, and the search then returns to where that leaf's path
+    left the other's, since the subtree it is in maps onto one already
+    explored.  Skipped subtrees are images of explored ones, so the least
+    code over all leaves is found, and the leaf automorphisms with the twin
+    transpositions generate Aut(g) with the first path as a base (McKay &
+    Piperno 2014): see ``_remember``.
     """
     n, rows = g.n, g.rows
     cells = [0] * n
     cells[0] = (1 << n) - 1
     end = [n] * n
-    ncells = _refine(rows, cells, end, [0], 1)
+    starts = _refine(rows, cells, end, [0], 1 if n > 1 else 0)
     best_code = best_order = best_path = None
     first_code = first_order = first_path = None
     autos = []
     twins = []
 
-    def dfs(cells, end, ncells, c, path) -> int:
-        # Returns the depth the search unwinds to; c is a cell start with
-        # only singletons before it.
+    def dfs(cells, end, starts, path) -> int:
+        # Returns the depth the search unwinds to.
         nonlocal best_code, best_order, best_path, first_code, first_order, first_path
         depth = len(path)
-        if ncells == n:
+        if not starts:
             order = [cell.bit_length() - 1 for cell in cells]
             code = _leaf_code(rows, order)
             if best_code is None:
@@ -486,10 +501,17 @@ def _least_leaf_code(g: Graph) -> tuple:
                 auto[v] = w
             autos.append(auto)
             return next(i for i, (v, w) in enumerate(zip(path, other_path)) if v != w)
-        while end[c] - c == 1:
-            c += 1
+        low = starts & -starts
+        c = low.bit_length() - 1
         cell, e = cells[c], end[c]
+        # a child's mask before refinement: {v} is a singleton, and so is
+        # the rest of the cell when the cell has two vertices
+        child_starts = starts ^ low if e - c == 2 else starts ^ low ^ low << 1
         tried = []
+        # the orbit of tried, valid while len(tried) + len(autos) is known;
+        # both lists only grow, and autos only while a child is explored
+        orbit = set()
+        known = len(autos)
         for v in _bits(cell):
             row = rows[v]
             twin = False
@@ -498,20 +520,28 @@ def _least_leaf_code(g: Graph) -> tuple:
                     twins.append((u, v))
                     twin = True
                     break
-            if twin or (tried and v in _orbit(autos, path, tried)):
+            if twin:
+                continue
+            grown = len(tried) + len(autos)
+            if grown != known:
+                orbit, known = _orbit(autos, path, tried), grown
+            if v in orbit:
                 continue
             tried.append(v)
             child, child_end = cells[:], end[:]
             child[c], child[c + 1] = 1 << v, cell ^ 1 << v
             child_end[c], child_end[c + 1] = c + 1, e
-            count = _refine(rows, child, child_end, [c], ncells + 1)
-            back = dfs(child, child_end, count, c, path + [v])
+            refined = _refine(rows, child, child_end, [c], child_starts)
+            back = dfs(child, child_end, refined, path + [v])
             if back < depth:
                 return back
         return depth
 
-    dfs(cells, end, ncells, 0, [])
-    autos += ([u + v - w if w in (u, v) else w for w in range(n)] for u, v in twins)
+    dfs(cells, end, starts, [])
+    for u, v in twins:
+        swap = bytearray(range(n))
+        swap[u], swap[v] = v, u
+        autos.append(bytes(swap))
     return best_code, best_order, first_path, autos
 
 
@@ -579,8 +609,12 @@ def _remember(cert: Certificate, search: tuple) -> tuple:
     for v in path:
         size *= len(_orbit(fixing, (), [v]))
         fixing = [gen for gen in fixing if gen[v] == v]
-    pos = sorted(range(cert.n), key=order.__getitem__)  # pos[order[i]] = i
-    group = size, tuple(bytes([pos[gen[v]] for v in order]) for gen in gens)
+    # the canonical graph's generator maps i to pos[gen[order[i]]], where
+    # pos[order[i]] = i: bytes(order) read through gen, then through pos,
+    # each padded to a 256-byte translate table
+    pad = bytes(256 - cert.n)
+    pos = bytes(sorted(range(cert.n), key=order.__getitem__)) + pad
+    group = size, tuple(bytes(order).translate(gen + pad).translate(pos) for gen in gens)
     if len(_groups) >= _GROUPS_CAP:
         _groups.popitem(last=False)
     _groups[cert] = group

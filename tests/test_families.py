@@ -295,6 +295,21 @@ def test_census_pinned_in_yield_order():
     )
 
 
+def test_census_entries_pinned():
+    # the census's whole entries, not only the graphs it yields: each
+    # class's certificate, the child the census built, in its own labels,
+    # and the generators of that child's search
+    entries = [
+        (tuple(cert), list(g.rows), [list(gen) for gen in gens])
+        for n in range(1, 8)
+        for cert, g, gens in families._census(n)
+    ]
+    assert len(entries) == 1252
+    assert hashlib.sha256(repr(entries).encode()).hexdigest() == (
+        "5070e4583d1c1fa93b489e0cf7bee2f0443999634e161fcc8493a8350d3ece7a"
+    )
+
+
 def test_census_classes_distinct_by_oracle():
     # With the A000088 and Prufer counts, pairwise non-isomorphism decided
     # by the permutation oracle shows each census complete and duplicate-free.

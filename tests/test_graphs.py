@@ -79,6 +79,13 @@ def test_rejects_loops_and_asymmetry():
         lambda: P(3).induced([]),
         lambda: P(3).induced([1, 1]),
         lambda: P(3).induced([0, 3]),
+        # a vertex id is an int, and a bool is not one
+        lambda: P(3).add_vertex([True]),
+        lambda: P(3).add_vertex([1.0]),
+        lambda: P(3).permuted([True, False, 2]),
+        lambda: P(3).permuted([0.0, 1, 2]),
+        lambda: P(3).induced([True, 2]),
+        lambda: P(3).induced([0, 1.0]),
         # a vertex count is an int, and a bool is not one
         lambda: Graph(True, [0]),
         lambda: Graph(2.0, (0b10, 0b01)),
@@ -200,9 +207,10 @@ def relabeled(g, rng):
     return g.permuted(perm)
 
 
-# SHA-256 of the search's results on the corpus below, made by the labeler
-# that CERT_SCHEME "ir1" names
+# SHA-256s of the search's results on the corpora below, made by the
+# labeler that CERT_SCHEME "ir1" names
 SEARCH_DIGEST = "0e756cf132413ebcf039ba6727594a8d180353b54a2900480cdc54eb49a30e85"
+CASCADE_TWIN_DIGEST = "20de84e905d15197a46a57e703f82feb53459e60737df8b9f8b35dfe8dcfa448"
 
 # the symmetric-unions benchmark ladder, in its order
 LADDER = [
@@ -226,21 +234,40 @@ def search_corpus() -> list:
     return [relabeled(g, rng) for g in corpus]
 
 
-def test_search_output_is_pinned():
-    # the search's full result, not only its code: the best order, the
-    # first path and every generator in order, which the census and the
-    # group store read
+def cascade_twin_corpus() -> list:
+    """515 graphs the first corpus does not reach, under one seeded
+    relabeling: paths, and cycles with a pendant path, on up to 32
+    vertices, whose refinement cascades through singleton cells; then K_n
+    and K_{p,q}, stars among them, on up to 12 vertices, mostly twins."""
+    rng = random.Random(6)
+    corpus = [P(n) for n in range(1, 33)]
+    corpus += [
+        Graph.from_edges(c + t, [(i, (i + 1) % c) for i in range(c)]
+                         + [(i, i + 1) for i in range(c - 1, c + t - 1)])
+        for c in range(3, 32)
+        for t in range(1, 33 - c)
+    ]
+    corpus += [K(n) for n in range(1, 13)]
+    corpus += [complete_bipartite(p, q) for p in range(1, 7) for q in range(p, 13 - p)]
+    assert len(corpus) == 515
+    return [relabeled(g, rng) for g in corpus]
+
+
+def search_digest(corpus) -> str:
+    """SHA-256 of the search's full result on each graph, not only its
+    code: the best order, the first path and every generator in order,
+    which the census and the group store read."""
     out = []
-    for g in search_corpus():
+    for g in corpus:
         code, order, path, autos = graphs._least_leaf_code(g)
         out.append((code, list(order), list(path), [list(a) for a in autos]))
-    digest = hashlib.sha256(repr(out).encode()).hexdigest()
-    assert digest == SEARCH_DIGEST
+    return hashlib.sha256(repr(out).encode()).hexdigest()
 
 
-def test_search_work_is_pinned(monkeypatch):
-    # a search that explores more of its tree fails a count, not a timing
-    corpus = search_corpus()
+def search_work(monkeypatch, corpus) -> dict:
+    """The calls of ``_refine`` and ``_leaf_code`` that searching the
+    corpus makes: a search that explores more of its tree fails a count,
+    not a timing."""
     counts = {"_refine": 0, "_leaf_code": 0}
 
     def counting(name):
@@ -255,7 +282,21 @@ def test_search_work_is_pinned(monkeypatch):
         monkeypatch.setattr(graphs, name, counting(name))
     for g in corpus:
         graphs._least_leaf_code(g)
-    assert counts == {"_refine": 1076, "_leaf_code": 352}
+    return counts
+
+
+def test_search_output_is_pinned():
+    assert search_digest(search_corpus()) == SEARCH_DIGEST
+
+
+def test_search_work_is_pinned(monkeypatch):
+    assert search_work(monkeypatch, search_corpus()) == {"_refine": 1076, "_leaf_code": 352}
+
+
+def test_cascade_and_twin_search_is_pinned(monkeypatch):
+    corpus = cascade_twin_corpus()
+    assert search_digest(corpus) == CASCADE_TWIN_DIGEST
+    assert search_work(monkeypatch, corpus) == {"_refine": 1720, "_leaf_code": 927}
 
 
 def test_automorphism_group_matches_permutation_oracle_n7():
@@ -451,7 +492,13 @@ def test_automorphism_group_closed_forms():
         (cube(5), 3840),
     ]
     for g, order in ladder:
-        assert _aut(canonical_form(relabeled(g, rng)))[0] == order, g
+        cert = canonical_form(relabeled(g, rng))
+        size, gens = _aut(cert)
+        assert size == order, g
+        # every generator is an automorphism of the canonical graph
+        canon = certificate_graph(cert)
+        for gen in gens:
+            assert canon.permuted(list(gen)) == canon, (g, gen)
 
 
 def test_regular_look_alikes_have_distinct_certificates():
