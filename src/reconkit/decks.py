@@ -112,10 +112,11 @@ def _deck_of_cert(cert: Certificate) -> tuple:
     per edge orbit of the canonical graph is labeled and its key weighted
     by the orbit's size; the canonical graph itself is never searched."""
     g = certificate_graph(cert)
+    degs = g.degrees()
     entries, cards = {}, {}
     for (u, v), size in _pair_orbits(_aut(cert)[1], g.edges()):
         card = g.remove_edge(u, v)
-        key = DaEcard(canonical_form(card), g.degree(u) + g.degree(v) - 2)
+        key = DaEcard(canonical_form(card), degs[u] + degs[v] - 2)
         entries[key] = entries.get(key, 0) + size
         cards.setdefault(key, card)
     deck = Deck(entries)

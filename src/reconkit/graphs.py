@@ -65,9 +65,9 @@ def _is_int(x) -> bool:
 
 
 def _require_int(x, least: int, most: int | float, what: str) -> None:
-    """The one gate for a count a caller passes, run before anything is
-    built from it: x must be an int, not a bool, in least..most (most may
-    be math.inf)."""
+    """The one gate for a count, vertex id or adjacency row a caller
+    passes, run before anything is built from it: x must be an int, not a
+    bool, in least..most (most may be math.inf)."""
     if not _is_int(x) or not least <= x <= most:
         raise GraphError(f"{what} must be in {least}..{most}, got {x!r}")
 
@@ -109,12 +109,11 @@ class Graph:
         rows = tuple(rows)
         if len(rows) != n:
             raise GraphError(f"expected {n} adjacency rows, got {len(rows)}")
-        full = (1 << n) - 1
+        for row in rows:
+            _require_int(row, 0, (1 << n) - 1, "adjacency row")
         for v, row in enumerate(rows):
-            if row & ~full:
-                raise GraphError(f"row {v} has adjacency bits beyond vertex {n - 1}")
             if row >> v & 1:
-                raise GraphError(f"vertex {v} has a loop")
+                raise GraphError(f"loop at vertex {v}")
             for u in _bits(row):
                 if not rows[u] >> v & 1:
                     raise GraphError(f"adjacency not symmetric between {u} and {v}")
@@ -134,10 +133,8 @@ class Graph:
         _require_size(n)
         rows = [0] * n
         for u, v in edges:
-            if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"loop at vertex {u}")
+            _require_int(u, 0, n - 1, "vertex")
+            _require_int(v, 0, n - 1, "vertex")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows)
@@ -147,6 +144,7 @@ class Graph:
         return sum(row.bit_count() for row in self.rows) // 2
 
     def degree(self, v: int) -> int:
+        _require_int(v, 0, self.n - 1, "vertex")
         return self.rows[v].bit_count()
 
     def degrees(self) -> tuple:
@@ -161,18 +159,19 @@ class Graph:
         return out
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return False
+        _require_int(u, 0, self.n - 1, "vertex")
+        _require_int(v, 0, self.n - 1, "vertex")
         return bool(self.rows[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple:
+        _require_int(v, 0, self.n - 1, "vertex")
         return tuple(_bits(self.rows[v]))
 
     def add_edge(self, u: int, v: int) -> "Graph":
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise GraphError(f"invalid edge ({u},{v})")
         if self.has_edge(u, v):
             raise GraphError(f"edge ({u},{v}) already present")
+        if u == v:
+            raise GraphError(f"loop at vertex {u}")
         rows = list(self.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
@@ -192,8 +191,7 @@ class Graph:
         _require_size(n + 1)
         nb = 0
         for u in neighbors:
-            if not (_is_int(u) and 0 <= u < n):
-                raise GraphError(f"neighbor {u!r} out of range")
+            _require_int(u, 0, n - 1, "vertex")
             nb |= 1 << u
         rows = [self.rows[v] | ((nb >> v & 1) << n) for v in range(n)]
         rows.append(nb)
@@ -215,13 +213,11 @@ class Graph:
     def induced(self, vertices) -> "Graph":
         """Induced subgraph on ``vertices`` relabeled 0..k-1 in sorted order."""
         vs = list(vertices)
-        if not all(map(_is_int, vs)):
-            raise GraphError(f"vertex ids must be ints, got {vs!r}")
+        for v in vs:
+            _require_int(v, 0, self.n - 1, "vertex")
         vs.sort()
         if len(set(vs)) != len(vs) or not vs:
             raise GraphError("vertex set must be nonempty without repeats")
-        if vs[0] < 0 or vs[-1] >= self.n:
-            raise GraphError("vertex out of range")
         idx = {v: i for i, v in enumerate(vs)}
         rows = []
         for v in vs:

@@ -31,6 +31,7 @@ overlap between G's deck and a blocker's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -44,6 +45,7 @@ from .graphs import (
     _aut,
     _component_masks,
     _pair_orbits,
+    _require_int,
     canonical_form,
     certificate_graph,
     components,
@@ -96,6 +98,7 @@ def extensions(card: Graph, d: int | None = None) -> Deck:
     deck, ds, _mults = _scan(canonical_form(card))
     if d is None:
         return deck
+    _require_int(d, 0, math.inf, "edge degree")
     return Deck((h, f) for (h, f), e in zip(deck.items(), ds) if e == d)
 
 
@@ -110,7 +113,7 @@ def _scan(cert: Certificate) -> tuple:
     c = certificate_graph(cert)
     degs = c.degrees()
     card_order, gens = _aut(cert)
-    pairs = (p for p in combinations(range(c.n), 2) if not c.has_edge(*p))
+    pairs = ((u, v) for u, v in combinations(range(c.n), 2) if not c.rows[u] >> v & 1)
     counts, orders, d_of = {}, {}, {}
     for (u, v), size in _pair_orbits(gens, pairs):
         key = canonical_form(c.add_edge(u, v))

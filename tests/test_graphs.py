@@ -79,13 +79,26 @@ def test_rejects_loops_and_asymmetry():
         lambda: P(3).induced([]),
         lambda: P(3).induced([1, 1]),
         lambda: P(3).induced([0, 3]),
-        # a vertex id is an int, and a bool is not one
+        # a vertex id is an int in 0..n-1, and a bool is not one
         lambda: P(3).add_vertex([True]),
         lambda: P(3).add_vertex([1.0]),
         lambda: P(3).permuted([True, False, 2]),
         lambda: P(3).permuted([0.0, 1, 2]),
         lambda: P(3).induced([True, 2]),
         lambda: P(3).induced([0, 1.0]),
+        lambda: P(3).degree(-1),
+        lambda: P(3).neighbors(-1),
+        lambda: P(3).has_edge(True, 2),
+        lambda: P(3).has_edge(1.0, 2),
+        lambda: P(3).has_edge(0, 7),
+        lambda: P(3).add_edge(False, 2),
+        lambda: P(3).remove_edge(True, 2),
+        lambda: edge_degree(P(3), (0, 2.0)),
+        lambda: P(3).degree(5),
+        # an adjacency row is an int, and a bool is not one
+        lambda: Graph(2, (2.0, 1)),
+        lambda: Graph(2, (2, True)),
+        lambda: Graph(2, (2, 1.0)),  # read by row 0's symmetry test first
         # a vertex count is an int, and a bool is not one
         lambda: Graph(True, [0]),
         lambda: Graph(2.0, (0b10, 0b01)),

@@ -33,6 +33,7 @@ from reconkit import (
     parse_family_spec,
     path,
     recon_number,
+    spider,
     star,
     sub_multiset,
     union_bound,
@@ -142,6 +143,17 @@ def test_determines_examples():
 def test_determines_validates_input():
     with pytest.raises(GraphError):
         determines(P(3), 5, complete(3))
+    # an edge degree is an int d >= 0, and a bool is not one
+    card = graph_union(P(3), K1)  # a card of K_{1,3}, with d = 2
+    for build in [
+        lambda: extensions(card, True),
+        lambda: extensions(card, 2.0),
+        lambda: extensions(card, "2"),
+        lambda: extensions(card, -1),
+        lambda: determines(card, "2", star(3)),
+    ]:
+        with pytest.raises(GraphError, match="edge degree must be in"):
+            build()
 
 
 def test_determines_builds_no_deck(monkeypatch):
@@ -416,6 +428,28 @@ def test_recon_number_examples():
     assert recon_number(disjoint_union(2, complete(3)), da=False).value == 2
     assert recon_number(star(5), da=True).value == 1
     assert recon_number(P(6), da=True).value == 1
+
+
+def test_family_theorems_at_the_vertex_cap():
+    # the paper's dern values on every instance of its families up to
+    # MAX_VERTICES: tP_n (t >= 2), K_{1,n} (n >= 4) and the spiders S^k_L
+    # with k >= 3 legs of length L >= 2; K_{1,3} is the proven exception
+    cap = graphs.MAX_VERTICES
+    ladder = [(disjoint_union(t, path(3)), 3) for t in range(2, cap // 3 + 1)]
+    ladder += [
+        (disjoint_union(t, path(n)), 2)
+        for n in range(4, 17)
+        for t in range(2, cap // n + 1)
+    ]
+    ladder += [(star(n), 1) for n in range(4, cap)]
+    ladder += [
+        (spider([legs] * k), 2)
+        for legs in range(2, cap)
+        for k in range(3, (cap - 1) // legs + 1)
+    ]
+    assert len(ladder) == 107
+    for g, want in ladder:
+        assert recon_number(g, da=True).value == want, g
 
 
 def test_recon_number_rejects_edgeless():
