@@ -59,7 +59,7 @@ def main():
     for tup in [(2, 7, 3, 5, 3, 6, 2), (3, 4, 3, 7, 7, 2, 4, 3), (2, 1, 2), (1, 2, 2, 1)]:
         s = CaterpillarSeq(tup)
         i, j = identifying_pair(s)
-        by_pos = {r.pos: r.seq for r in reductions(s)}
+        by_pos = reductions(s)
         print(f"<{s}>  ->  positions ({i},{j}), "
               f"reductions <{by_pos[i]}> / <{by_pos[j]}>")
         assert reconstruct(by_pos[i], by_pos[j]) == {s}

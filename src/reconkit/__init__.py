@@ -9,7 +9,6 @@ tree and disjoint-union families.
 
 from .caterpillar import (
     CaterpillarSeq,
-    Reduction,
     identifying_pair,
     is_path_sequence,
     reconstruct,

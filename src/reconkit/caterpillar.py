@@ -20,14 +20,13 @@ the caterpillar among all graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph, _bits, _integer, _require_int, _require_tree
 
 __all__ = [
     "CaterpillarSeq",
-    "Reduction",
     "seq_of",
     "reductions",
     "reconstruct",
@@ -71,15 +70,6 @@ class CaterpillarSeq:
         return f"CaterpillarSeq(<{self}>)"
 
 
-@dataclass(frozen=True)
-class Reduction:
-    """A reduced sequence plus the decremented position (1-based, provenance
-    only: two reductions compare equal iff their sequences do)."""
-
-    seq: CaterpillarSeq
-    pos: int = field(compare=False)
-
-
 def is_path_sequence(s: CaterpillarSeq) -> bool:
     a = s.a
     if len(a) == 1:
@@ -112,15 +102,16 @@ def _inc(a: tuple, i: int) -> tuple:
     return a[:i] + (a[i] + 1,) + a[i + 1:]
 
 
-def reductions(s: CaterpillarSeq) -> list:
-    """All spine-preserving reductions, one per position of the stored
-    orientation; paths and stars that are too small yield an empty list."""
+def reductions(s: CaterpillarSeq) -> dict:
+    """{position: reduced sequence} for every spine-preserving reduction,
+    positions 1-based in the stored orientation, ascending; paths and
+    stars that are too small yield an empty dict."""
     a = s.a
-    out = []
-    for i in range(len(a)):
-        if _dec_keeps_spine(a, i):
-            out.append(Reduction(CaterpillarSeq(_dec(a, i)), i + 1))
-    return out
+    return {
+        i + 1: CaterpillarSeq(_dec(a, i))
+        for i in range(len(a))
+        if _dec_keeps_spine(a, i)
+    }
 
 
 def reconstruct(r1: CaterpillarSeq, r2: CaterpillarSeq) -> set:
@@ -161,7 +152,7 @@ def identifying_pair(s: CaterpillarSeq) -> tuple:
     """
     if is_path_sequence(s):
         raise ValueError("paths are handled directly, not via sequences")
-    by_pos = {r.pos: r.seq for r in reductions(s)}
+    by_pos = reductions(s)
     if len(by_pos) < 2:
         raise ValueError("fewer than two spine-preserving reductions")
     a = s.a
@@ -191,32 +182,20 @@ def identifying_pair(s: CaterpillarSeq) -> tuple:
 def seq_of(t: Graph) -> CaterpillarSeq | None:
     """Sequence of t if it is a caterpillar, else None; t must be a tree."""
     _require_tree(t)
-    n = t.n
-    if n == 1:
+    if t.n == 1:
         return CaterpillarSeq((0,))
-    if n == 2:
+    if t.n == 2:
         return CaterpillarSeq((1,))
-    degs = t.degrees()
-    spine = [v for v in range(n) if degs[v] >= 2]
-    spine_set = set(spine)
-    spine_deg = {}
-    for v in spine:
-        nb = [u for u in _bits(t.rows[v]) if u in spine_set]
-        if len(nb) > 2:
-            return None  # leaves removed is not a path
-        spine_deg[v] = nb
+    rows = t.rows
+    spine = sum(1 << v for v, d in enumerate(t.degrees()) if d >= 2)
+    if any((rows[v] & spine).bit_count() > 2 for v in _bits(spine)):
+        return None  # leaves removed is not a path
     # the non-leaves of a tree induce a subtree, here one of maximum degree
-    # at most 2, so a path: the walk from one end covers the spine
-    order = [next(v for v in spine if len(spine_deg[v]) <= 1)]
-    prev = None
-    while True:
-        cur = order[-1]
-        nxt = [u for u in spine_deg[cur] if u != prev]
-        if not nxt:
-            break
-        prev = cur
-        order.append(nxt[0])
-    counts = tuple(
-        sum(1 for u in _bits(t.rows[v]) if degs[u] == 1) for v in order
-    )
+    # at most 2, so a path: the walk from its lowest end covers the spine
+    v = next(v for v in _bits(spine) if (rows[v] & spine).bit_count() < 2)
+    counts, todo = [], spine
+    while todo:
+        todo ^= 1 << v
+        counts.append((rows[v] & ~spine).bit_count())
+        v = (rows[v] & todo).bit_length() - 1
     return CaterpillarSeq(counts)

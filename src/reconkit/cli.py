@@ -164,7 +164,7 @@ def _cmd_caterpillar(args) -> int:
     s = CaterpillarSeq.parse(args.seq)
     i, j = identifying_pair(s)
     print(f"positions: {i},{j}")
-    by_pos = {r.pos: r.seq for r in reductions(s)}
+    by_pos = reductions(s)
     print(f"reductions: <{by_pos[i]}>  <{by_pos[j]}>")
     return 0
 

@@ -462,7 +462,7 @@ def _least_leaf_code(g: Graph) -> tuple:
     explored.  Skipped subtrees are images of explored ones, so the least
     code over all leaves is found, and the leaf automorphisms with the twin
     transpositions generate Aut(g) with the first path as a base (McKay &
-    Piperno 2014): see ``_remember``.
+    Piperno 2014): see ``_aut``.
     """
     n, rows = g.n, g.rows
     cells = [0] * n
@@ -580,15 +580,16 @@ def _pair_orbits(gens, pairs):
         yield pair, len(orbit)
 
 
-# Certificate -> its group (see ``_remember``), least recently used out first
+# Certificate -> its group (see ``_aut``), least recently used out first
 _GROUPS_CAP = 1 << 17
 _groups: OrderedDict = OrderedDict()
 
 
-def _remember(cert: Certificate, search: tuple) -> tuple:
+def _aut(cert: Certificate, search: tuple | None = None) -> tuple:
     """cert's group, stored once from ``search``, the ``_least_leaf_code``
-    result that made cert: |Aut| of the canonical graph and generators as
-    permutations of its own vertices (bytes: n <= 32).  The generators
+    result that made cert, or without one from a search of the canonical
+    graph: |Aut| of the canonical graph and generators as permutations of
+    its own vertices (bytes: n <= 32).  The generators
     fixing the first k path vertices generate their pointwise stabilizer,
     so |Aut| is the product over the path of each vertex's orbit under
     those fixing the vertices before it (McKay & Piperno 2014), read along
@@ -598,6 +599,8 @@ def _remember(cert: Certificate, search: tuple) -> tuple:
     if cert in _groups:
         _groups.move_to_end(cert)
         return _groups[cert]
+    if search is None:
+        search = _least_leaf_code(certificate_graph(cert))
     _code, order, path, gens = search
     gens = list(dict.fromkeys(map(bytes, gens)))
     size = 1
@@ -718,21 +721,12 @@ def canonical_form(g: Graph) -> Certificate:
         return _shapes[shape]
     search = _least_leaf_code(g)
     cert = Certificate(g.n, g.m, search[0])
-    _remember(cert, search)
+    _aut(cert, search)
     if shape is not None:
         if len(_shapes) >= _GROUPS_CAP:
             _shapes.popitem(last=False)
         _shapes[shape] = cert
     return cert
-
-
-def _aut(cert: Certificate) -> tuple:
-    """cert's group (see ``_remember``), read from the store; only without
-    an entry is the canonical graph searched."""
-    if cert not in _groups:
-        return _remember(cert, _least_leaf_code(certificate_graph(cert)))
-    _groups.move_to_end(cert)
-    return _groups[cert]
 
 
 def canonical_graph(g: Graph) -> Graph:

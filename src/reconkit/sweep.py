@@ -299,7 +299,7 @@ def identifying_cards(s: CaterpillarSeq, positions) -> tuple:
     reductions(s).
     """
     a = s.a
-    valid = [r.pos for r in reductions(s)]
+    valid = list(reductions(s))  # its positions, ascending
     g = caterpillar_graph(s)
     cards = []
     for pos in positions:

@@ -359,7 +359,7 @@ def test_criterion_14_caterpillar_sweep():
             if cards[0] != cards[1]:
                 bad.append(f"<{s}>: a tree carries two distinct cards")
                 continue
-            by_pos = {r.pos: r.seq for r in reductions(s)}
+            by_pos = reductions(s)
             unique = reconstruct(by_pos[positions[0]], by_pos[positions[1]])
             if any(seq_of(h) in unique for h in trees):
                 bad.append(f"<{s}>: a tree carrier is in reconstruct(r, r)")
@@ -493,11 +493,11 @@ def test_criterion_18_sequence_calculus():
             if s.a != tup:
                 continue  # one representative per reversal class
             a = s.a
-            valid = {r.pos for r in reductions(s)}
+            by_pos = reductions(s)
             # conjugate-pair property
             for i in range(1, n // 2 + 1):
                 j = n - i + 1
-                if i == j or i not in valid or j not in valid:
+                if i == j or i not in by_pos or j not in by_pos:
                     continue
                 r1 = CaterpillarSeq(a[: i - 1] + (a[i - 1] - 1,) + a[i:])
                 r2 = CaterpillarSeq(a[: j - 1] + (a[j - 1] - 1,) + a[j:])
@@ -511,14 +511,13 @@ def test_criterion_18_sequence_calculus():
                     ):
                         prop_bad.append((str(s), i))
             # two-reduction round trip wherever an identifying pair exists
-            if is_path_sequence(s) or len(valid) < 2:
+            if is_path_sequence(s) or len(by_pos) < 2:
                 continue
             try:
                 pi, pj = identifying_pair(s)
             except ValueError:
                 no_pair.append(s)
                 continue
-            by_pos = {r.pos: r.seq for r in reductions(s)}
             round_checked += 1
             if reconstruct(by_pos[pi], by_pos[pj]) != {s}:
                 round_bad.append(str(s))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,7 +7,9 @@ from reconkit import (
     CaterpillarSeq,
     Graph,
     GraphError,
+    canonical_form,
     caterpillar_graph,
+    enumerate_trees,
     identifying_pair,
     is_path_sequence,
     path,
@@ -53,18 +56,38 @@ def test_seq_of_round_trip():
         seq_of(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
 
 
+def test_seq_of_on_every_tree():
+    # the trees on n >= 4 vertices include 2^(n-4) + 2^floor((n-4)/2)
+    # caterpillars (Harary & Schwenk 1973), each with its own sequence,
+    # read alike from any labeling and building a tree isomorphic to it
+    rng = random.Random(1)
+    for n in range(4, 13):
+        seqs = set()
+        for t in enumerate_trees(n):
+            s = seq_of(t)
+            if s is None:
+                continue
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert seq_of(t.permuted(perm)) == s, t
+            assert canonical_form(caterpillar_graph(s)) == canonical_form(t), t
+            assert s not in seqs, t
+            seqs.add(s)
+        assert len(seqs) == 2 ** (n - 4) + 2 ** ((n - 4) // 2), n
+
+
 def test_reductions():
-    reds = {r.seq for r in reductions(seq(3, 4, 3, 7, 7, 2, 4, 3))}
+    reds = set(reductions(seq(3, 4, 3, 7, 7, 2, 4, 3)).values())
     assert seq(3, 4, 2, 7, 7, 2, 4, 3) in reds
-    reds = {r.seq for r in reductions(seq(2, 7, 3, 5, 3, 6, 2))}
+    reds = set(reductions(seq(2, 7, 3, 5, 3, 6, 2)).values())
     assert seq(1, 7, 3, 5, 3, 6, 2) in reds
-    assert reductions(seq(1, 0, 1)) == []
+    assert reductions(seq(1, 0, 1)) == {}
     # end decrements that would shorten the spine are excluded
-    positions = [r.pos for r in reductions(seq(1, 2, 2))]
+    positions = list(reductions(seq(1, 2, 2)))
     assert 1 not in positions and set(positions) == {2, 3}
     # a lone spine vertex must keep degree >= 2
-    assert reductions(seq(2)) == []
-    assert [r.seq for r in reductions(seq(4))] == [seq(3)]
+    assert reductions(seq(2)) == {}
+    assert list(reductions(seq(4)).values()) == [seq(3)]
 
 
 def test_reconstruct_unique():
@@ -118,7 +141,7 @@ def test_identifying_pair_reconstructs():
     for tup in [(2, 2), (2, 3), (3, 1, 3), (2, 0, 2), (1, 2, 2, 1), (2, 3, 1, 2, 2)]:
         s = CaterpillarSeq(tup)
         i, j = identifying_pair(s)
-        reds = {r.pos: r.seq for r in reductions(s)}
+        reds = reductions(s)
         assert reconstruct(reds[i], reds[j]) == {s}
 
 
@@ -131,7 +154,7 @@ def test_conjugate_reduction_property_small():
                 continue
             s = CaterpillarSeq(tup)
             a = s.a
-            valid = {r.pos for r in reductions(s)}
+            valid = reductions(s)
             for i in range(1, n // 2 + 1):
                 j = n - i + 1
                 if i == j or i not in valid or j not in valid:
