@@ -132,12 +132,13 @@ def reconstruct(r1: CaterpillarSeq, r2: CaterpillarSeq) -> set:
             for j in range(n):
                 if j == i or not _dec_keeps_spine(parent, j):
                     continue
-                if CaterpillarSeq(_dec(parent, j)) == r2:
-                    found.add(CaterpillarSeq(parent))
+                r = _dec(parent, j)  # valid, so stored as its lesser orientation
+                if min(r, r[::-1]) == r2.a:
+                    found.add(parent)
                     break
     if not found:
         raise ValueError(f"no sequence has both <{r1}> and <{r2}> as reductions")
-    return found
+    return set(map(CaterpillarSeq, found))
 
 
 def identifying_pair(s: CaterpillarSeq) -> tuple:

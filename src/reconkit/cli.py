@@ -163,6 +163,7 @@ def _cmd_caterpillar(args) -> int:
         return 0
     s = CaterpillarSeq.parse(args.seq)
     i, j = identifying_pair(s)
+    print(f"sequence: <{s}>")  # the stored orientation, which positions index
     print(f"positions: {i},{j}")
     by_pos = reductions(s)
     print(f"reductions: <{by_pos[i]}>  <{by_pos[j]}>")

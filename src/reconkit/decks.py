@@ -106,8 +106,8 @@ def _edged_cert(g: Graph, da: bool) -> Certificate:
 
 
 def _deck_of_cert(cert: Certificate) -> tuple:
-    """The da-edeck of cert's class, that deck with d dropped (the
-    edge-deck), and in their key order the card graph labeled for each key.
+    """The da-edeck of cert's class and, in its key order, the card graph
+    labeled for each key.
     The edges of one orbit of Aut(G) give the same da-ecard, so one card
     per edge orbit of the canonical graph is labeled and its key weighted
     by the orbit's size; the canonical graph itself is never searched."""
@@ -120,13 +120,14 @@ def _deck_of_cert(cert: Certificate) -> tuple:
         entries[key] = entries.get(key, 0) + size
         cards.setdefault(key, card)
     deck = Deck(entries)
-    plain = Deck((key.card, m) for key, m in deck.items())
-    return deck, plain, tuple(cards[key] for key in deck)
+    return deck, tuple(cards[key] for key in deck)
 
 
 def edge_deck(g: Graph) -> Deck:
-    """Multiset of certificates of G - e over all edges e."""
-    return _deck_of_cert(_edged_cert(g, False))[1]
+    """Multiset of certificates of G - e over all edges e: the da-edeck
+    with d dropped, one key for each key (module docstring)."""
+    da_deck = _deck_of_cert(_edged_cert(g, False))[0]
+    return Deck((key.card, m) for key, m in da_deck.items())
 
 
 def da_edeck(g: Graph) -> Deck:

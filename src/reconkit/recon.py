@@ -20,8 +20,10 @@ da-edeck with one d, and C's scan files each extension class H once,
 with the one degree its new edge has.  The da-blockers are the blockers
 whose new edge on C has C's d, the blockers with G's sum of squared
 degrees, and their multiplicities are unchanged.  One blocker pass per
-graph therefore holds one index over all blockers, keyed by card, and the
-da view is that index under the mask of the da-blockers.
+graph therefore serves both views.  Each view is one table from its deck
+keys, in deck order, to index rows over all blockers, the two views
+sharing each card's rows, so a key's multiplicity is its number of rows;
+the da view reads the rows under the mask of the da-blockers.
 
 The minimum variants (ern, dern) find the smallest sub-multiset of the deck
 contained in no blocker's deck, each query an AND of per-card bitmasks over
@@ -37,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .decks import DaEcard, Deck, _deck_of_cert, _edged_cert
+from .decks import Deck, _deck_of_cert, _edged_cert
 from .graphs import (
     Certificate,
     Graph,
@@ -158,12 +160,11 @@ def blockers(g: Graph, da: bool) -> list:
 
 
 class _Pass(NamedTuple):
-    """The class's one blocker pass (module docstring).  ``decks``,
+    """The class's one blocker pass (module docstring).  ``views``,
     ``masks`` and ``best`` hold the edge-deck view, then the da view."""
 
-    decks: tuple  # the edge-deck and the da-edeck, keys in the same order
     hs: tuple  # every blocker's certificate, in increasing order
-    index: dict  # card -> rows: bit i of row x - 1 is set if m_hs[i](card) >= x
+    views: tuple  # deck key -> rows: bit i of row x - 1 is set if m_hs[i](card) >= x
     masks: tuple  # each view's blockers, bit i for hs[i]
     best: tuple  # each view's (max_shared, i of its first blocker or -1)
 
@@ -175,10 +176,10 @@ def _context(gcert: Certificate) -> _Pass:
     the da-edeck's keys fills each card's index rows, up to the deck's own
     multiplicity of the card, sets the da bit of a blocker whose new edge
     has the card's d, and sums each blocker's overlap with the deck."""
-    da_deck, deck, cards = _deck_of_cert(gcert)
+    da_deck, cards = _deck_of_cert(gcert)
     hs = tuple(sorted(set().union(*map(extensions, cards)) - {gcert}))
     pos = {h: i for i, h in enumerate(hs)}
-    index, shared, da_mask = {}, [0] * len(hs), 0
+    views, shared, da_mask = ({}, {}), [0] * len(hs), 0
     for key in da_deck:
         x = da_deck.mult(key)
         rows = [0] * x
@@ -192,19 +193,14 @@ def _context(gcert: Certificate) -> _Pass:
             shared[i] += top
             if e == key.d:
                 da_mask |= bit
-        index[key.card] = tuple(rows)
+        views[False][key.card] = views[True][key] = tuple(rows)
     masks = ((1 << len(hs)) - 1, da_mask)
     best = [(0, -1), (0, -1)]
     for i, s in enumerate(shared):
         for da in (False, True):
             if s > best[da][0] and masks[da] >> i & 1:
                 best[da] = s, i
-    return _Pass((deck, da_deck), hs, index, masks, tuple(best))
-
-
-def _rows(ctx: _Pass, key) -> tuple:
-    """The index rows of a deck key of either view."""
-    return ctx.index[key.card if isinstance(key, DaEcard) else key]
+    return _Pass(hs, views, masks, tuple(best))
 
 
 def blocked(g: Graph, cards: Deck, da: bool) -> bool:
@@ -216,12 +212,12 @@ def blocked(g: Graph, cards: Deck, da: bool) -> bool:
     empty multiset is blocked exactly when g has a blocker.
     """
     ctx = _context(_edged_cert(g, da))
-    deck, reach = ctx.decks[da], ctx.masks[da]
+    view, reach = ctx.views[da], ctx.masks[da]
     for key in cards:
-        x = cards.mult(key)
-        if x > deck.mult(key):
+        x, rows = cards.mult(key), view.get(key, ())
+        if x > len(rows):
             raise ValueError("cards are not a sub-multiset of the graph's own deck")
-        reach &= _rows(ctx, key)[x - 1]
+        reach &= rows[x - 1]
     return reach != 0
 
 
@@ -244,12 +240,11 @@ def recon_number(g: Graph, da: bool = False) -> ReconResult:
     """Smallest k such that some k-sub-multiset of the (da-)edeck of g is
     contained in no blocker's deck (ern for da=False, dern for da=True)."""
     ctx = _context(_edged_cert(g, da))
-    deck, (max_shared, i) = ctx.decks[da], ctx.best[da]
+    view, (max_shared, i) = ctx.views[da], ctx.best[da]
     example = None if i < 0 else certificate_graph(ctx.hs[i])
-    if max_shared == deck.total:
+    if max_shared == g.m:  # every card of the deck
         return ReconResult(None, (), max_shared, example)
-    keys = deck.keys()
-    rows = [_rows(ctx, key) for key in keys]
+    keys, rows = list(view), list(view.values())
     # no blocker shares more than max_shared cards, so the search ends there
     for k in range(1, max_shared + 2):
         for vec in _witness_vectors([len(r) for r in rows], k):
@@ -266,15 +261,15 @@ def adv_recon_number(g: Graph, da: bool = False) -> ReconResult:
     """Least k such that every k-sub-multiset of the deck is unblocked:
     1 + the largest deck intersection with any blocker."""
     ctx = _context(_edged_cert(g, da))
-    deck, (max_shared, i) = ctx.decks[da], ctx.best[da]
+    view, (max_shared, i) = ctx.views[da], ctx.best[da]
     if i < 0:
         return ReconResult(1, (), 0, None)
     example = certificate_graph(ctx.hs[i])
-    if max_shared == deck.total:
+    if max_shared == g.m:  # every card of the deck
         return ReconResult(None, (), max_shared, example)
     # the example's multiplicity on a key, capped at the deck's, is the
     # number of the key's rows holding its bit
-    overlap = ((key, sum(row >> i & 1 for row in _rows(ctx, key))) for key in deck)
+    overlap = ((key, sum(row >> i & 1 for row in rows)) for key, rows in view.items())
     witness = tuple((key, x) for key, x in overlap if x)
     return ReconResult(max_shared + 1, witness, max_shared, example)
 
@@ -315,14 +310,11 @@ def union_bound(g: Graph) -> tuple:
     if h is None:
         raise GraphError("need at least two components, all isomorphic")
     # H's deck is read from the blocker pass that adv_recon_number reads
-    deck = _context(canonical_form(h)).decks[False] if h.m else Deck({})
-    if len(deck) < 2:
+    view = _context(canonical_form(h)).views[False] if h.m else {}
+    if len(view) < 2:
         raise GraphError("all edge-cards of the component are isomorphic")
     adv = adv_recon_number(h, da=False).value
-    candidates = [2 + min(m for _key, m in deck.items())]
-    if adv is not None:
-        candidates.append(adv)
-    bound = min(candidates)
+    bound = min(2 + min(map(len, view.values())), math.inf if adv is None else adv)
     value = recon_number(g, da=False).value
     holds = value is not None and value <= bound
     return bound, holds

@@ -233,21 +233,16 @@ def store_scan(path: str, filter_expr: str | None = None):
     if os.path.exists(path):
         with open(path, "rb") as fh:
             for lineno, raw in enumerate(fh):
-                try:
+                try:  # UnicodeDecodeError (torn inside a character) is a ValueError
                     line = raw.decode("utf-8")
-                except UnicodeDecodeError:  # not UTF-8: torn inside a character, say
-                    stats["corrupt"] += 1
-                    continue
-                if lineno == 0 and line.startswith(_HEADER_PREFIX):
-                    continue
-                if not line.strip():
-                    continue
-                if not line.endswith("\n"):
-                    stats["corrupt"] += 1  # torn by a crash
-                    continue
-                try:
+                    if lineno == 0 and line.startswith(_HEADER_PREFIX):
+                        continue
+                    if not line.strip():
+                        continue
+                    if not line.endswith("\n"):
+                        raise ValueError("torn by a crash")
                     rec = parse_record(line)
-                except (ValueError, IndexError):
+                except ValueError:
                     stats["corrupt"] += 1
                     continue
                 if rec.g6 in by_g6:

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .caterpillar import CaterpillarSeq, reductions, seq_of
-from .decks import DaEcard, Deck, _edged_cert, edge_deck, sub_multiset
+from .decks import DaEcard, Deck, _edged_cert, edge_deck
 from .families import (
     MAX_GRAPH_N,
     MAX_TREE_N,
@@ -313,7 +313,9 @@ def identifying_cards(s: CaterpillarSeq, positions) -> tuple:
 def pair_certifies(t: Graph, cards) -> bool:
     """True iff the multiset of da-ecards lies in t's da-edeck and in no
     blocker's da-edeck.  The deck is read from t's blocker pass, which
-    ``evaluate_graph(t)`` has already made."""
-    need = Deck(Counter(cards))
-    da_deck = _context(_edged_cert(t, True)).decks[True]
-    return sub_multiset(need, da_deck) and not blocked(t, need, True)
+    ``evaluate_graph(t)`` has already made: a key's multiplicity is its
+    number of index rows, and a key outside the deck has none."""
+    need = Counter(cards)
+    view = _context(_edged_cert(t, True)).views[True]
+    in_deck = all(x <= len(view.get(key, ())) for key, x in need.items())
+    return in_deck and not blocked(t, Deck(need), True)

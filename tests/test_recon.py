@@ -20,6 +20,7 @@ from reconkit import (
     caterpillar_graph,
     certificate_graph,
     complete,
+    components,
     cycle,
     da_edeck,
     determines,
@@ -264,10 +265,14 @@ def test_blocked_matches_blocker_decks_n5():
 def blocker_multiplicities(g, da):
     """The blockers of g's (da=True: da) view, in the pass's order, each to
     its multiplicities on the view's deck keys as g's card scans counted
-    them.  Checks that the pass's index holds every blocker's, capped at
-    the deck's own multiplicity, and that the view's mask selects it."""
+    them.  Checks that the view lists g's deck keys in deck order, each
+    with one row per card, that the rows hold every blocker's
+    multiplicity, capped at the deck's own, and that the view's mask
+    selects it."""
     ctx = recon._context(canonical_form(g))
-    deck, mask = ctx.decks[da], ctx.masks[da]
+    view, mask = ctx.views[da], ctx.masks[da]
+    deck = (da_edeck if da else edge_deck)(g)
+    assert [(key, len(rows)) for key, rows in view.items()] == deck.items()
     on_card = {}
     for key in deck:
         ext, _ds, mults = recon._scan(key.card if da else key)
@@ -275,8 +280,7 @@ def blocker_multiplicities(g, da):
     found = {}
     for i, h in enumerate(ctx.hs):
         on_keys = {key: on[h] for key, on in on_card.items() if h in on}
-        for key in deck:
-            rows = ctx.index[key.card if da else key]
+        for key, rows in view.items():
             held = sum(row >> i & 1 for row in rows)
             assert held == min(on_keys.get(key, 0), deck.mult(key))
         if mask >> i & 1:
@@ -708,6 +712,31 @@ def test_union_bound_holds_for_paths():
     pendant = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
     bound, holds = union_bound(disjoint_union(2, pendant))
     assert holds
+
+
+UNION_BOUND_6_SHA256 = "99503fe61e656b0664628b1e3945f257fc0ded5e3caf680bb93f07d0e5cbd883"
+
+
+def test_union_bound_up_to_six_vertices():
+    # union_bound(2H) for every connected H with 2 <= n <= 6, an edge and
+    # at least two edge-card classes, one size past criterion 16: the bound
+    # reads mm(H) as H's fewest index rows on a card.  It fails exactly
+    # where adv_ern(H) = 1 (K_4 - e, K_5 - e, K_6 - e)
+    lines, failing = [], []
+    for n in range(2, 7):
+        for h in enumerate_graphs(n):
+            if h.m < 1 or len(components(h)) != 1 or len(edge_deck(h)) < 2:
+                continue
+            bound, holds = union_bound(disjoint_union(2, h))
+            canon = canonical_form(h).canon
+            lines.append(f"{canon} {bound} {holds}")
+            assert holds == (adv_recon_number(h, da=False).value != 1), canon
+            if not holds:
+                failing.append(canon)
+    assert len(lines) == 126
+    assert failing == ["C^", "D^{", "E^~w"]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == UNION_BOUND_6_SHA256
 
 
 def test_union_bound_builds_each_deck_once(monkeypatch):

@@ -682,7 +682,9 @@ def test_cli_caterpillar():
     out = run_cli(["caterpillar", "reconstruct", "3,4,2,7,7,2,4,3", "3,4,1,7,7,3,4,3"])
     assert out.stdout.strip().splitlines() == ["3,4,2,7,7,3,4,3"]
     out = run_cli(["caterpillar", "pair", "2,7,3,5,3,6,2"])
-    assert "positions: 2,6" in out.stdout
+    # the positions index the printed, lexicographically least orientation
+    lines = out.stdout.splitlines()
+    assert lines[:2] == ["sequence: <2,6,3,5,3,7,2>", "positions: 2,6"]
 
 
 def test_cli_sweep_exit_codes(tmp_path):
