@@ -22,7 +22,6 @@ from .decks import (
     edge_deck,
     format_deck,
     intersection_size,
-    min_multiplicity,
     sub_multiset,
 )
 from .families import (
@@ -41,14 +40,12 @@ from .families import (
     star,
 )
 from .graphs import (
-    CentroidInfo,
     Certificate,
     Graph,
     Graph6Error,
     GraphError,
     canonical_form,
     canonical_graph,
-    centroid,
     certificate_graph,
     components,
     edge_degree,

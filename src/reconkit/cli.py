@@ -35,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
     # the convention here: exit code 2 is reserved for claim violations
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(f"error: {message}")
+        raise ValueError(message)
 
 
 def _k_maxh(text: str) -> tuple:
@@ -180,7 +180,7 @@ def _cmd_family(args) -> int:
     elif args.edges is None:
         gen = enumerate_trees(args.n)
     else:
-        raise SystemExit("error: --edges applies to graphs only (a tree has n-1 edges)")
+        raise ValueError("--edges applies to graphs only (a tree has n-1 edges)")
     count = 0
     for g in gen:  # each one its own canonical graph
         print(write_graph6(g))
@@ -193,7 +193,7 @@ def _cmd_store(args) -> int:
     path = args.store or default_store_path()
     if not os.path.exists(path):
         # store_scan reads a missing file as empty, which a new sweep needs
-        raise SystemExit(f"error: no store at {path}")
+        raise ValueError(f"no store at {path}")
     records, stats = store_scan(path, args.filter)
     if stats["corrupt"]:
         print(f"warning: skipped {stats['corrupt']} corrupt lines", file=sys.stderr)
@@ -222,10 +222,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 1
+    except SystemExit as exc:  # --help
         return exc.code or 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,7 +33,6 @@ __all__ = [
     "Deck",
     "edge_deck",
     "da_edeck",
-    "min_multiplicity",
     "sub_multiset",
     "intersection_size",
     "format_deck",
@@ -98,7 +97,9 @@ class Deck:
 
 
 def _edged_cert(g: Graph, da: bool) -> Certificate:
-    """g's certificate; GraphError naming the (da-)edeck when g has no edge."""
+    """g's certificate; GraphError unless da is a bool and g has an edge."""
+    if not isinstance(da, bool):
+        raise GraphError(f"da must be True or False, got {da!r}")
     cert = canonical_form(g)
     if cert.m < 1:
         raise GraphError(f"{'da-edeck' if da else 'edge-deck'} of an edgeless graph")
@@ -133,11 +134,6 @@ def edge_deck(g: Graph) -> Deck:
 def da_edeck(g: Graph) -> Deck:
     """Multiset of (certificate of G - e, d(e)) pairs over all edges e."""
     return _deck_of_cert(_edged_cert(g, True))[0]
-
-
-def min_multiplicity(g: Graph) -> int:
-    """Least multiplicity among the edge-card classes of g."""
-    return min(edge_deck(g)._entries.values())
 
 
 def sub_multiset(s: Deck, t: Deck) -> bool:

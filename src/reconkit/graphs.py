@@ -17,7 +17,6 @@ graph6 text is only the I/O form: the store, the CLI and
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -34,14 +33,12 @@ __all__ = [
     "GraphError",
     "Graph6Error",
     "Certificate",
-    "CentroidInfo",
     "canonical_form",
     "canonical_graph",
     "certificate_graph",
     "is_isomorphic",
     "edge_degree",
     "components",
-    "centroid",
     "parse_graph6",
     "write_graph6",
 ]
@@ -783,35 +780,3 @@ def components(g: Graph) -> list:
 def _require_tree(t: Graph):
     if t.m != t.n - 1 or len(_component_masks(t)) != 1:
         raise GraphError("not a tree")
-
-
-@dataclass(frozen=True)
-class CentroidInfo:
-    """Per-vertex weights and the centroid of a tree.
-
-    ``weights[v]`` is the order of a largest component of T - v; the
-    centroid collects the vertices of minimum weight (one vertex, or two
-    adjacent ones joined by ``centroidal_edge``).
-    """
-
-    weights: tuple
-    centroid: tuple
-    kind: str  # "unicentroidal" | "bicentroidal"
-    centroidal_edge: tuple | None
-
-
-def centroid(t: Graph) -> CentroidInfo:
-    _require_tree(t)
-    n = t.n
-    if n == 1:
-        return CentroidInfo((0,), (0,), "unicentroidal", None)
-    weights = []
-    for v in range(n):
-        rest = t.induced([u for u in range(n) if u != v])
-        weights.append(max(mask.bit_count() for mask in _component_masks(rest)))
-    wt = min(weights)
-    cen = tuple(v for v in range(n) if weights[v] == wt)
-    if len(cen) == 1:
-        return CentroidInfo(tuple(weights), cen, "unicentroidal", None)
-    # Jordan: a tree's centroid is one vertex or two adjacent ones
-    return CentroidInfo(tuple(weights), cen, "bicentroidal", cen)

@@ -97,10 +97,11 @@ def extensions(card: Graph, d: int | None = None) -> Deck:
     card's canonical graph, one labeled per orbit of its automorphism
     group (``graphs._pair_orbits``), weighted by the orbit's size.
     """
+    if d is not None:
+        _require_int(d, 0, math.inf, "edge degree")
     deck, ds, _mults = _scan(canonical_form(card))
     if d is None:
         return deck
-    _require_int(d, 0, math.inf, "edge degree")
     return Deck((h, f) for (h, f), e in zip(deck.items(), ds) if e == d)
 
 
@@ -310,7 +311,7 @@ def union_bound(g: Graph) -> tuple:
     if h is None:
         raise GraphError("need at least two components, all isomorphic")
     # H's deck is read from the blocker pass that adv_recon_number reads
-    view = _context(canonical_form(h)).views[False] if h.m else {}
+    view = _context(_edged_cert(h, False)).views[False]
     if len(view) < 2:
         raise GraphError("all edge-cards of the component are isomorphic")
     adv = adv_recon_number(h, da=False).value

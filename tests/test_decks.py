@@ -25,7 +25,6 @@ from reconkit import (
     format_deck,
     graph_union,
     intersection_size,
-    min_multiplicity,
     parse_family_spec,
     path,
     star,
@@ -99,19 +98,6 @@ def test_da_edeck_star_triangle_mix():
     deck = da_edeck(g)
     assert len(deck) == 2
     assert all(key.d == 2 for key, _ in deck.items())
-
-
-def test_min_multiplicity():
-    assert min_multiplicity(star(3)) == 3
-    assert min_multiplicity(P(4)) == 1
-    # P_7 has six cards in three classes, each appearing twice: the deck is
-    # {P_1+P_6, P_2+P_5, P_3+P_4}, so the minimum multiplicity is 2.
-    by_hand = {}
-    for i in range(6):
-        card = P(7).remove_edge(i, i + 1)
-        by_hand[cert(card)] = by_hand.get(cert(card), 0) + 1
-    assert sorted(by_hand.values()) == [2, 2, 2]
-    assert min_multiplicity(P(7)) == 2
 
 
 def test_sub_multiset_and_intersection():

@@ -17,7 +17,6 @@ from reconkit import (
     canonical_form,
     canonical_graph,
     caterpillar_graph,
-    centroid,
     complete,
     complete_bipartite,
     components,
@@ -73,7 +72,6 @@ def test_caterpillar_graph():
     assert g.n == 7
     assert sorted(g.degrees(), reverse=True)[:3] == [3, 3, 2]  # spine degrees
     assert is_isomorphic(caterpillar_graph([1, 0, 0, 1]), path(6))
-    assert centroid(caterpillar_graph([2, 2])).kind == "bicentroidal"
     assert caterpillar_graph([2, 2]).n == 6
 
 

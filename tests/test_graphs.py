@@ -19,7 +19,6 @@ from reconkit import (
     GraphError,
     canonical_form,
     canonical_graph,
-    centroid,
     certificate_graph,
     complete_bipartite,
     components,
@@ -601,35 +600,6 @@ def test_component_counts_sum():
         comps = components(g)
         assert sum(c.n for c in comps) == g.n
         assert sum(c.m for c in comps) == g.m
-
-
-# --- centroid ---------------------------------------------------------------
-
-def test_centroid_paths_and_stars():
-    info = centroid(P(4))
-    assert info.kind == "bicentroidal"
-    assert info.centroid == (1, 2) and info.centroidal_edge == (1, 2)
-    info = centroid(P(5))
-    assert info.kind == "unicentroidal" and info.centroid == (2,)
-    info = centroid(S(5))
-    assert info.centroid == (0,) and info.weights[0] == 1
-    info = centroid(Graph.from_edges(1, []))
-    assert info.weights == (0,) and info.centroid == (0,)
-    assert info.kind == "unicentroidal" and info.centroidal_edge is None
-
-
-def test_centroid_path_parity():
-    for n in range(2, 12):
-        info = centroid(P(n))
-        assert (info.kind == "bicentroidal") == (n % 2 == 0)
-        assert len(info.centroid) in (1, 2)
-
-
-def test_centroid_rejects_non_trees():
-    with pytest.raises(GraphError):
-        centroid(Graph.from_edges(3, [(0, 1)]))  # disconnected
-    with pytest.raises(GraphError):
-        centroid(K(3))  # cycle
 
 
 # --- graph6 -----------------------------------------------------------------

@@ -147,6 +147,8 @@ def test_determines_validates_input():
         determines(P(3), 5, complete(3))
     # an edge degree is an int d >= 0, and a bool is not one
     card = graph_union(P(3), K1)  # a card of K_{1,3}, with d = 2
+    # d is checked before the card is labeled or scanned
+    recon._scan.cache_clear()
     for build in [
         lambda: extensions(card, True),
         lambda: extensions(card, 2.0),
@@ -156,6 +158,7 @@ def test_determines_validates_input():
     ]:
         with pytest.raises(GraphError, match="edge degree must be in"):
             build()
+    assert recon._scan.cache_info().currsize == 0
 
 
 def test_determines_builds_no_deck(monkeypatch):
@@ -484,6 +487,20 @@ def test_recon_number_rejects_edgeless():
                 call()
 
 
+def test_da_flag_must_be_a_bool():
+    # an int, None or text is rejected, not read as a view index or truth value
+    g = P(4)
+    for da in (2, None, "x", 1):
+        for call in (
+            lambda: recon_number(g, da),
+            lambda: adv_recon_number(g, da),
+            lambda: blockers(g, da),
+            lambda: blocked(g, Deck({}), da),
+        ):
+            with pytest.raises(GraphError, match=f"^da must be True or False, got {da!r}$"):
+                call()
+
+
 def test_single_edge_graphs_allowed():
     k2 = Graph.from_edges(2, [(0, 1)])
     assert recon_number(k2, da=True).value == 1
@@ -768,3 +785,5 @@ def test_union_bound_rejects_uniform_cards():
         union_bound(P(6))
     with pytest.raises(GraphError):
         union_bound(graph_union(P(4), P(5)))
+    with pytest.raises(GraphError, match="edgeless"):
+        union_bound(disjoint_union(3, K1))

@@ -857,5 +857,12 @@ def test_cli_family_and_errors():
         assert out.stderr.startswith("error: edge count") and out.stderr.count("\n") == 1
     out = run_cli(["deck", "not-a-graph"])
     assert out.returncode == 1
+    # argparse's errors take the one error channel: the usage line, then
+    # one "error: " line, exit 1
     out = run_cli(["nope"])
-    assert out.returncode == 1
+    assert out.returncode == 1 and out.stdout == ""
+    usage, error = out.stderr.splitlines()
+    assert usage.startswith("usage: reconkit")
+    assert error.startswith("error: argument command: invalid choice: 'nope'")
+    out = run_cli(["--help"])
+    assert out.returncode == 0 and out.stdout.startswith("usage: reconkit")
